@@ -9,10 +9,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/time.hpp"
 #include "nebula/engine.hpp"
 
@@ -112,8 +112,8 @@ Result<LossRun> RunAtLossRate(size_t rows, double drop_rate,
 }  // namespace
 
 int main(int argc, char** argv) {
-  size_t rows = 200000;
-  if (argc > 1) rows = std::strtoull(argv[1], nullptr, 10);
+  const size_t rows =
+      PositiveArgOrExit(argc, argv, 1, 200000, "[rows] [json-path]");
   const char* json_path = argc > 2 ? argv[2] : "BENCH_faults.json";
 
   // Fault-free reference row set.

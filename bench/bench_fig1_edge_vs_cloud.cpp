@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <string>
 
+#include "common/cli.hpp"
 #include "queries/queries.hpp"
 
 using namespace nebulameos;           // NOLINT
@@ -78,8 +79,8 @@ double Ratio(uint64_t num, uint64_t den) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t events = 400'000;
-  if (argc > 1) events = std::strtoull(argv[1], nullptr, 10);
+  const uint64_t events =
+      PositiveArgOrExit(argc, argv, 1, 400'000, "[events] [json-path]");
   const std::string json_path = argc > 2 ? argv[2] : "BENCH_fig1.json";
 
   auto env = DemoEnvironment::Create();

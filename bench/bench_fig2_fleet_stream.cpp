@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "common/cli.hpp"
 #include "meos/agg.hpp"
 #include "sncb/records.hpp"
 
@@ -16,8 +17,7 @@ using namespace nebulameos;        // NOLINT
 using namespace nebulameos::sncb;  // NOLINT
 
 int main(int argc, char** argv) {
-  uint64_t events = 600'000;
-  if (argc > 1) events = std::strtoull(argv[1], nullptr, 10);
+  const uint64_t events = PositiveArgOrExit(argc, argv, 1, 600'000, "[events]");
 
   const RailNetwork network = BuildBelgianNetwork();
   FleetConfig config;

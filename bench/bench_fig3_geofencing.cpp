@@ -12,6 +12,7 @@
 
 #include <cstdio>
 
+#include "common/cli.hpp"
 #include "queries/queries.hpp"
 
 using namespace nebulameos;           // NOLINT
@@ -61,8 +62,7 @@ void WriteCsv(const std::string& path, const std::vector<std::string>& header,
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t events = 300'000;
-  if (argc > 1) events = std::strtoull(argv[1], nullptr, 10);
+  const uint64_t events = PositiveArgOrExit(argc, argv, 1, 300'000, "[events]");
   auto env = DemoEnvironment::Create();
   if (!env.ok()) {
     std::fprintf(stderr, "environment: %s\n", env.status().ToString().c_str());

@@ -9,10 +9,10 @@
 /// Usage: bench_fleet_serving [rows_per_train_at_10] [json_path]
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/time.hpp"
 #include "nebula/serving/fleet.hpp"
 #include "nebula/serving/merge.hpp"
@@ -205,8 +205,8 @@ struct FleetRun {
 }  // namespace
 
 int main(int argc, char** argv) {
-  size_t base_rows = 2000;
-  if (argc > 1) base_rows = std::strtoull(argv[1], nullptr, 10);
+  const size_t base_rows =
+      PositiveArgOrExit(argc, argv, 1, 2000, "[base-rows] [json-path]");
   const char* json_path = argc > 2 ? argv[2] : "BENCH_fleet.json";
 
   const int fleet_sizes[] = {10, 100, 1000};

@@ -20,6 +20,7 @@
 /// geofence_filter and fused_filter_map.
 
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -27,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/time.hpp"
 #include "nebula/engine.hpp"
 #include "nebula/worker_pool.hpp"
@@ -247,8 +249,8 @@ Result<SweepResult> RunThreadSweep(const Workload& workload,
 
 int main(int argc, char** argv) {
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_hotpath.json";
-  int repeats = 60;
-  if (argc > 2) repeats = std::atoi(argv[2]);
+  const int repeats = static_cast<int>(PositiveArgOrExit(
+      argc, argv, 2, 60, "[json-path] [repeats]", INT_MAX));
 
   auto geofences = MakeGeofences();
   if (Status st = integration::RegisterMeosPlugin(geofences); !st.ok()) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 
+#include "common/cli.hpp"
 #include "queries/queries.hpp"
 
 using namespace nebulameos;           // NOLINT
@@ -230,8 +231,8 @@ MetricsOverhead MeasureMetricsOverhead(const DemoEnvironment& env,
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t events = 400'000;
-  if (argc > 1) events = std::strtoull(argv[1], nullptr, 10);
+  const uint64_t events = PositiveArgOrExit(
+      argc, argv, 1, 400'000, "[events] [json-path] [metrics-json-path]");
   const std::string json_path = argc > 2 ? argv[2] : "BENCH_t1.json";
   const std::string metrics_json_path =
       argc > 3 ? argv[3] : "BENCH_t1_metrics.json";

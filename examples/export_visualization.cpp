@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "common/cli.hpp"
 #include "meos/io.hpp"
 #include "queries/queries.hpp"
 
@@ -18,9 +19,9 @@ using namespace nebulameos;        // NOLINT
 using namespace nebulameos::sncb;  // NOLINT
 
 int main(int argc, char** argv) {
-  uint64_t events = 120'000;
+  const uint64_t events =
+      PositiveArgOrExit(argc, argv, 1, 120'000, "[events] [geojson-path]");
   std::string path = "sncb_fleet.geojson";
-  if (argc > 1) events = std::strtoull(argv[1], nullptr, 10);
   if (argc > 2) path = argv[2];
 
   auto env = queries::DemoEnvironment::Create();

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "common/cli.hpp"
 #include "queries/queries.hpp"
 
 using namespace nebulameos;           // NOLINT
@@ -14,8 +15,7 @@ using namespace nebulameos::nebula;   // NOLINT
 using namespace nebulameos::queries;  // NOLINT
 
 int main(int argc, char** argv) {
-  uint64_t events = 400'000;
-  if (argc > 1) events = std::strtoull(argv[1], nullptr, 10);
+  const uint64_t events = PositiveArgOrExit(argc, argv, 1, 400'000, "[events]");
 
   auto env = DemoEnvironment::Create();
   if (!env.ok()) {

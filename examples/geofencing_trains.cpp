@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "common/cli.hpp"
 #include "queries/queries.hpp"
 
 using namespace nebulameos;           // NOLINT
@@ -27,8 +28,7 @@ void PrintSample(const std::vector<std::vector<Value>>& rows, size_t n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t events = 150'000;
-  if (argc > 1) events = std::strtoull(argv[1], nullptr, 10);
+  const uint64_t events = PositiveArgOrExit(argc, argv, 1, 150'000, "[events]");
 
   auto env = DemoEnvironment::Create();
   if (!env.ok()) {

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 
+#include "common/cli.hpp"
 #include "common/random.hpp"
 #include "nebula/engine.hpp"
 #include "nebulameos/plugin.hpp"
@@ -20,8 +21,7 @@ using namespace nebulameos;           // NOLINT
 using namespace nebulameos::nebula;   // NOLINT
 
 int main(int argc, char** argv) {
-  uint64_t events = 120'000;
-  if (argc > 1) events = std::strtoull(argv[1], nullptr, 10);
+  const uint64_t events = PositiveArgOrExit(argc, argv, 1, 120'000, "[events]");
 
   // Port of Antwerp-ish geofences: approach channel (polygon), anchorage
   // (circle), harbour office POI.

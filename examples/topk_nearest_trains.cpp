@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <map>
 
+#include "common/cli.hpp"
 #include "nebulameos/topk_nearest.hpp"
 #include "sncb/records.hpp"
 
@@ -21,8 +22,7 @@ using namespace nebulameos::integration;  // NOLINT
 using namespace nebulameos::nebula;       // NOLINT
 
 int main(int argc, char** argv) {
-  uint64_t events = 200'000;
-  if (argc > 1) events = std::strtoull(argv[1], nullptr, 10);
+  const uint64_t events = PositiveArgOrExit(argc, argv, 1, 200'000, "[events]");
 
   const sncb::RailNetwork network = sncb::BuildBelgianNetwork();
   sncb::SncbSources sources(&network);

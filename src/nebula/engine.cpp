@@ -2,9 +2,10 @@
 
 #include <cstdlib>
 #include <deque>
-#include <functional>
+#include <optional>
 
 #include "common/logging.hpp"
+#include "common/strings.hpp"
 #include "nebula/analysis/pipeline_verifier.hpp"
 #include "nebula/analysis/plan_verifier.hpp"
 #include "nebula/metrics/sampler.hpp"
@@ -16,14 +17,31 @@ namespace {
 
 // Worker count resolution: an explicit option wins; otherwise the
 // NM_WORKER_THREADS environment variable (the CI/TSan toggle that forces
-// every test through the concurrent path unchanged); otherwise 1.
-size_t ResolveWorkerThreads(size_t configured) {
+// every test through the concurrent path unchanged); otherwise 1. A
+// malformed value is an error rather than a silent default, so a typo in
+// a CI job cannot quietly run the suite single-threaded.
+Result<size_t> ResolveWorkerThreads(size_t configured) {
   if (configured > 0) return configured;
-  if (const char* env = std::getenv("NM_WORKER_THREADS")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<size_t>(v);
+  const char* env = std::getenv("NM_WORKER_THREADS");
+  if (env == nullptr || *env == '\0') return size_t{1};
+  // Bounded so a stray large value cannot ask for millions of threads.
+  constexpr int64_t kMaxWorkers = 1024;
+  const Result<int64_t> parsed = ParseInt64(env);
+  if (!parsed.ok() || *parsed <= 0 || *parsed > kMaxWorkers) {
+    return Status::InvalidArgument("NM_WORKER_THREADS='" + std::string(env) +
+                                   "' is not a worker count in 1.." +
+                                   std::to_string(kMaxWorkers));
   }
-  return 1;
+  return static_cast<size_t>(*parsed);
+}
+
+CompileOptions MakeCompileOptions(const EngineOptions& options,
+                                  size_t partitions) {
+  CompileOptions copts;
+  copts.compiled_kernels = options.compiled_kernels;
+  copts.partitions = partitions;
+  copts.faults = options.faults;
+  return copts;
 }
 
 // splitmix64 finalizer: partition router hash for integer keys. The raw
@@ -127,18 +145,18 @@ struct NodeEngine::RunningQuery {
 
   // --- Observability (docs/ARCHITECTURE.md "Observability") ---
   // The query's instrument registry. Instruments are resolved once at
-  // submission (BindMetricsTree) and recorded through raw pointers on the
-  // hot path — relaxed atomics, no lock, no map lookup. Declared before
-  // `pool` so in-flight worker tasks can still record while the pool
-  // destructor drains them.
+  // submission or admission (BindTargets) and recorded through raw
+  // pointers on the hot path — relaxed atomics, no lock, no map lookup.
+  // Declared before `pool` so in-flight worker tasks can still record
+  // while the pool destructor drains them.
   std::unique_ptr<metrics::MetricsRegistry> metrics;
   // Periodic rate sampler (metrics_interval > 0); declared after the
   // registry (destroyed first) and stopped at the end of RunLoop.
   std::unique_ptr<metrics::Sampler> sampler;
   bool metrics_on = false;
   // Verify-each: check the batch contract (sealed buffer, ascending
-  // in-bounds selection) at every segment entry. Set from
-  // `OptimizerOptions::verify_each` at submission.
+  // in-bounds selection) at every segment entry, and strand ownership
+  // whenever strands are made. Set from `OptimizerOptions::verify_each`.
   bool verify_batches = false;
   // Engine-level flow counters and sampler-derived rate gauges.
   metrics::Counter* m_events_ingested = nullptr;
@@ -149,104 +167,70 @@ struct NodeEngine::RunningQuery {
   metrics::Gauge* m_emit_rate = nullptr;
   metrics::Counter* m_samples = nullptr;
 
-  // Per-dispatch-target backpressure instruments, shared per segment
-  // *path*: partition clones carry their segment's path, so a keyed
-  // suffix split N ways feeds one gauge/histogram pair — metric names do
-  // not depend on the worker count.
-  struct StrandMetrics {
-    metrics::Gauge* queue_depth = nullptr;     ///< live queued-batch count
-    metrics::Histogram* task_wait = nullptr;   ///< post → run latency
-    std::atomic<int64_t> depth{0};
+  // --- Dispatch targets ---
+  // One record per pipeline a sealed batch is handed to: each static
+  // fan-out branch, each key-partition clone, each attached branch, plus
+  // the root segment (which runs on the posting thread). The records
+  // mirror the compiled tree, so the hot path reaches a target's strand
+  // and instruments through its own pointers, and admitting a branch
+  // writes only the new branch's record — never one the running host
+  // reads.
+  struct DynamicBranch;
+  struct Target {
+    CompiledPipeline* seg = nullptr;
+    DynamicBranch* owner = nullptr;  ///< set on an attached branch
+    /// Keeps the target's stateful operators single-threaded and its
+    /// buffer order intact; null without a pool (Start makes it).
+    std::unique_ptr<WorkerPool::Strand> strand;
+    /// Backpressure instruments, keyed by segment path: partition clones
+    /// carry their segment's path and share its gauge, histogram and
+    /// depth count, so metric names do not depend on the worker count.
+    metrics::Gauge* queue_depth = nullptr;    ///< live queued-batch count
+    metrics::Histogram* task_wait = nullptr;  ///< post → run latency
+    std::atomic<int64_t> own_depth{0};
+    std::atomic<int64_t>* depth = &own_depth;
+    std::vector<std::unique_ptr<Target>> branches;    ///< seg->branches
+    std::vector<std::unique_ptr<Target>> partitions;  ///< seg->partitions
+
+    std::string Path() const { return seg->path.empty() ? "root" : seg->path; }
   };
-  std::map<std::string, std::unique_ptr<StrandMetrics>> strand_metrics_by_path;
-  std::map<const CompiledPipeline*, StrandMetrics*> strand_metrics;
+  Target root;  ///< mirrors `pipeline`
 
   // --- Dynamic branches (shared-query serving) ---
-  // A shared host's root segment ends without a sink; its tail dispatches
-  // to whatever branches are attached *at that moment*. Branches carry
-  // their own compiled pipeline (suffix chain + sink), their own strand
-  // (admitted mid-run, so they cannot live in the immutable `strands`
-  // map), and their own instruments under the `b<id>` path. In-flight
-  // tasks capture the `shared_ptr`, so a detached branch's operator state
-  // survives until its queued work drained.
+  // A shared host's root segment ends without a sink; its tail posts to
+  // whatever branches are attached *at that moment*. Each branch carries
+  // its own compiled suffix (ending in a sink) and dispatch target, under
+  // the `b<id>` path.
   struct DynamicBranch {
     int id = 0;
-    std::unique_ptr<CompiledPipeline> pipeline;  ///< stable address
-    std::unique_ptr<WorkerPool::Strand> strand;  ///< null until the pool exists
-    StrandMetrics sm;                            ///< own instruments
+    CompiledPipeline pipeline;
+    Target target;  ///< `target.owner` points back here
     std::atomic<bool> detached{false};
     /// Why the engine force-detached the branch (OK for a clean detach).
     /// Guarded by the host's dyn_mutex.
     Status failure;
   };
   bool shared_host = false;  ///< submitted via `SubmitShared`
-  // Guards the branch vector, `next_branch_id`, and (for admission racing
+  // Guards the branch vectors, `next_branch_id`, and (for admission racing
   // `Start`) pool/strand creation. Never held across engine waits.
   mutable Mutex dyn_mutex;
-  std::vector<std::shared_ptr<DynamicBranch>> dyn_branches
+  std::vector<std::unique_ptr<DynamicBranch>> dyn_branches
       NM_GUARDED_BY(dyn_mutex);
-  // Detached branches parked until host teardown: a branch's strand may
-  // still be under a worker's post-task bookkeeping when the last task
-  // capture releases, so the strand must not die at detach time. Declared
-  // before `pool` — destroyed after the workers joined.
-  std::vector<std::shared_ptr<DynamicBranch>> retired_dyn
+  // Detached branches parked until host teardown: queued tasks may still
+  // reference a branch's target, and its strand may still be under a
+  // worker's post-task bookkeeping, so nothing of a branch dies before
+  // the host. Declared before `pool` — destroyed after the workers joined.
+  std::vector<std::unique_ptr<DynamicBranch>> retired_dyn
       NM_GUARDED_BY(dyn_mutex);
   int next_branch_id NM_GUARDED_BY(dyn_mutex) = 1;
 
-  // Resolves every instrument of the pipeline tree out of the registry:
-  // per-operator latency/batch-size histograms (DAG-path prefix, fused
-  // kernels expanding per stage), per-channel wire counters, and one
-  // strand gauge/histogram pair per segment path. Shared partition sinks
-  // re-bind to the same names — the registry returns the same pointers.
-  void BindMetricsTree(CompiledPipeline* seg) {
-    const std::string prefix = seg->path.empty() ? "" : seg->path + "/";
-    const std::string path_key = seg->path.empty() ? "root" : seg->path;
-    for (OperatorPtr& op : seg->operators) {
-      op->BindMetrics(metrics.get(), prefix);
-    }
-    if (seg->sink) seg->sink->BindMetrics(metrics.get(), prefix);
-    for (size_t i = 0; i < seg->channels.size(); ++i) {
-      const std::shared_ptr<NetworkChannel>& ch = seg->channels[i];
-      const std::string base = "channel." + path_key + "." +
-                               std::to_string(i) + "." +
-                               std::to_string(ch->from_node()) + "->" +
-                               std::to_string(ch->to_node());
-      ch->BindMetrics(metrics->GetCounter(base + ".wire_bytes"),
-                      metrics->GetCounter(base + ".frames"),
-                      metrics->GetCounter(base + ".events"),
-                      metrics->GetHistogram(base + ".transfer_micros"));
-      ch->BindFaultMetrics(metrics->GetCounter(base + ".frames_dropped"),
-                           metrics->GetCounter(base + ".retransmits"),
-                           metrics->GetCounter(base + ".frames_shed"));
-    }
-    auto it = strand_metrics_by_path.find(path_key);
-    if (it == strand_metrics_by_path.end()) {
-      auto sm = std::make_unique<StrandMetrics>();
-      sm->queue_depth =
-          metrics->GetGauge("worker.strand." + path_key + ".queue_depth");
-      sm->task_wait = metrics->GetHistogram("worker.strand." + path_key +
-                                            ".task_wait_micros");
-      it = strand_metrics_by_path.emplace(path_key, std::move(sm)).first;
-    }
-    strand_metrics[seg] = it->second.get();
-    for (CompiledPipeline& branch : seg->branches) BindMetricsTree(&branch);
-    for (CompiledPipeline& part : seg->partitions) BindMetricsTree(&part);
-  }
-
-  // Morsel execution (worker_threads > 1): one strand per dispatch target
-  // (each fan-out branch, each key partition) keeps that target's
-  // stateful operators single-threaded and its buffer order intact while
-  // distinct targets run concurrently. Built in Start() before any task
-  // is posted, immutable afterwards — lock-free to read. `pool` is
-  // declared after `strands` so its destructor (which runs remaining
-  // strand tasks) fires first.
-  std::map<const CompiledPipeline*, std::unique_ptr<WorkerPool::Strand>>
-      strands;
+  // Morsel execution (worker_threads > 1). Declared after every target so
+  // its destructor (which runs remaining strand tasks) fires first.
   std::unique_ptr<WorkerPool> pool;
-  // Task failure handling: *every* strand/branch error is recorded with
-  // the dispatch-target path it occurred on, and `failed` makes later
-  // tasks short-circuit. The query's final status is the first *root
-  // cause*: the earliest non-Cancelled error (a worker that trips over a
+  // Task failure handling: *every* strand error is recorded with the
+  // dispatch-target path it occurred on, and `failed` makes later tasks
+  // short-circuit. The query's final status is the first *root cause*:
+  // the earliest non-Cancelled error (a worker that trips over a
   // neighbour's teardown reports Cancelled — a symptom, not the cause),
   // annotated with its path and the count of secondary errors it masked.
   struct TaskError {
@@ -285,42 +269,113 @@ struct NodeEngine::RunningQuery {
     return Status(root->status.code(), std::move(msg));
   }
 
-  // Creates one strand per dispatch target below `seg` (the root segment
-  // itself runs on the posting thread).
-  void MakeStrands(CompiledPipeline* seg) {
+  // Mirrors `seg`'s compiled tree into `t` and, with metrics on, resolves
+  // every instrument out of the registry: per-operator latency/batch-size
+  // histograms (DAG-path prefix, fused kernels expanding per stage),
+  // per-channel wire counters, and the target's strand gauge/histogram
+  // pair. Shared partition sinks re-bind to the same names — the registry
+  // returns the same pointers.
+  void BindTargets(Target* t, CompiledPipeline* seg) {
+    t->seg = seg;
+    if (metrics_on) {
+      const std::string prefix = seg->path.empty() ? "" : seg->path + "/";
+      const std::string path_key = t->Path();
+      for (OperatorPtr& op : seg->operators) {
+        op->BindMetrics(metrics.get(), prefix);
+      }
+      if (seg->sink) seg->sink->BindMetrics(metrics.get(), prefix);
+      for (size_t i = 0; i < seg->channels.size(); ++i) {
+        const std::shared_ptr<NetworkChannel>& ch = seg->channels[i];
+        const std::string base = "channel." + path_key + "." +
+                                 std::to_string(i) + "." +
+                                 std::to_string(ch->from_node()) + "->" +
+                                 std::to_string(ch->to_node());
+        ch->BindMetrics(metrics->GetCounter(base + ".wire_bytes"),
+                        metrics->GetCounter(base + ".frames"),
+                        metrics->GetCounter(base + ".events"),
+                        metrics->GetHistogram(base + ".transfer_micros"));
+        ch->BindFaultMetrics(metrics->GetCounter(base + ".frames_dropped"),
+                             metrics->GetCounter(base + ".retransmits"),
+                             metrics->GetCounter(base + ".frames_shed"));
+      }
+      t->queue_depth =
+          metrics->GetGauge("worker.strand." + path_key + ".queue_depth");
+      t->task_wait = metrics->GetHistogram("worker.strand." + path_key +
+                                           ".task_wait_micros");
+    }
     for (CompiledPipeline& branch : seg->branches) {
-      strands[&branch] = pool->MakeStrand();
-      MakeStrands(&branch);
+      t->branches.push_back(std::make_unique<Target>());
+      BindTargets(t->branches.back().get(), &branch);
     }
     for (CompiledPipeline& part : seg->partitions) {
-      strands[&part] = pool->MakeStrand();
-      MakeStrands(&part);
+      t->partitions.push_back(std::make_unique<Target>());
+      t->partitions.back()->depth = t->depth;
+      BindTargets(t->partitions.back().get(), &part);
     }
   }
 
-  // Runs `target`'s chain over `batch`: inline without a pool, else as a
-  // task on the target's strand. The target's strand instruments see
-  // every hand-off: queued depth on post/run, post→run wait per task
-  // (zeros inline, where nothing ever queues — so the gauge exists and
-  // reads 0 at one worker, matching the multi-worker metric names).
-  Status Dispatch(CompiledPipeline* target, const exec::Batch& batch) {
-    StrandMetrics* sm = metrics_on ? strand_metrics.at(target) : nullptr;
+  // Gives `t` and every target below it a strand, once.
+  void MakeStrand(Target* t,
+                  std::vector<std::pair<std::string, const void*>>* owners) {
+    if (!t->strand) t->strand = pool->MakeStrand();
+    owners->emplace_back(t->Path(), t->strand.get());
+    for (auto& branch : t->branches) MakeStrand(branch.get(), owners);
+    for (auto& part : t->partitions) MakeStrand(part.get(), owners);
+  }
+
+  // The one place strands are made: static branches and partition clones
+  // when Start builds the pool, attached branches then or at admission
+  // (the root runs on the posting thread). Verify-each proves the actor
+  // guarantee over all of them — no strand serves two targets.
+  Status MakeStrands() NM_REQUIRES(dyn_mutex) {
+    std::vector<std::pair<std::string, const void*>> owners;
+    for (auto& branch : root.branches) MakeStrand(branch.get(), &owners);
+    for (auto& part : root.partitions) MakeStrand(part.get(), &owners);
+    for (auto& br : dyn_branches) MakeStrand(&br->target, &owners);
+    if (!verify_batches) return Status::OK();
+    return analysis::VerifyStrandOwnership(owners);
+  }
+
+  // The branches attached right now. Copied under the lock and posted to
+  // outside it, so admission and teardown contend only with this
+  // per-buffer copy, never with branch execution.
+  std::vector<Target*> AttachedTargets() const NM_EXCLUDES(dyn_mutex) {
+    MutexLock lock(dyn_mutex);
+    std::vector<Target*> targets;
+    targets.reserve(dyn_branches.size());
+    for (const auto& br : dyn_branches) targets.push_back(&br->target);
+    return targets;
+  }
+
+  // The one hand-off to a dispatch target: one unit of `t`'s work — its
+  // chain over `*batch`, or end-of-stream when `batch` is null — runs
+  // inline without a pool, else as a task on `t`'s strand. Strand FIFO
+  // order makes end-of-stream safe: every batch for the target was posted
+  // before it, so Finish observes the complete stream. Data hand-offs feed
+  // the strand instruments: queued depth on post/run and post→run wait
+  // (zeros inline, where nothing ever queues — so the instruments exist
+  // and read 0 at one worker, matching the multi-worker metric names).
+  Status Post(Target* t, const exec::Batch* batch) {
+    const bool timed = metrics_on && batch != nullptr;
     if (!pool) {
-      if (sm) sm->task_wait->Record(0);
-      return PushThrough(target, 0, batch);
+      if (timed) t->task_wait->Record(0);
+      return Run(t, batch);
     }
     int64_t posted_at = 0;
-    if (sm) {
+    if (timed) {
       posted_at = MonotonicNowMicros();
-      const int64_t d = sm->depth.fetch_add(1, std::memory_order_relaxed) + 1;
-      sm->queue_depth->Set(static_cast<double>(d));
+      const int64_t d = t->depth->fetch_add(1, std::memory_order_relaxed) + 1;
+      t->queue_depth->Set(static_cast<double>(d));
     }
-    strands.at(target)->Post([this, target, batch, sm, posted_at] {
-      if (sm) {
-        sm->task_wait->Record(MonotonicNowMicros() - posted_at);
+    std::optional<exec::Batch> task_batch;
+    if (batch != nullptr) task_batch = *batch;
+    t->strand->Post([this, t, task_batch = std::move(task_batch), timed,
+                     posted_at] {
+      if (timed) {
+        t->task_wait->Record(MonotonicNowMicros() - posted_at);
         const int64_t d =
-            sm->depth.fetch_sub(1, std::memory_order_relaxed) - 1;
-        sm->queue_depth->Set(static_cast<double>(d));
+            t->depth->fetch_sub(1, std::memory_order_relaxed) - 1;
+        t->queue_depth->Set(static_cast<double>(d));
       }
       // Cancelled queries drop queued morsels: cancel is not
       // end-of-stream, so no further state should be built (the drain
@@ -329,11 +384,68 @@ struct NodeEngine::RunningQuery {
           cancel.load(std::memory_order_relaxed)) {
         return;
       }
-      const Status st = PushThrough(target, 0, batch);
-      if (!st.ok()) {
-        RecordFailure(target->path.empty() ? "root" : target->path, st);
-      }
+      (void)Run(t, task_batch ? &*task_batch : nullptr);
     });
+    return Status::OK();
+  }
+
+  // Runs one unit of `t`'s work on the calling thread, with the one error
+  // hook. An attached branch fails alone: it is force-detached with a
+  // descriptive status (FailBranch) while its siblings and the shared
+  // ingest keep running. Any other target fails the query: a strand task
+  // records the error under the target's path; inline, the error returns
+  // to the dispatching caller and fails the run loop.
+  Status Run(Target* t, const exec::Batch* batch) {
+    DynamicBranch* br = t->owner;
+    if (br != nullptr && br->detached.load(std::memory_order_relaxed)) {
+      return Status::OK();
+    }
+    const Status st =
+        batch != nullptr ? PushThrough(t, 0, *batch) : FinishSegment(t);
+    if (st.ok()) return st;
+    if (br != nullptr) {
+      FailBranch(br, st);
+      return Status::OK();
+    }
+    if (pool) RecordFailure(t->Path(), st);
+    return st;
+  }
+
+  // Fault isolation for shared hosts: the failed branch is detached and
+  // parked, and its owner reads the failure through `BranchStatus`. Does
+  // NOT set `failed`: that flag kills the whole host.
+  void FailBranch(DynamicBranch* br, const Status& st) NM_EXCLUDES(dyn_mutex) {
+    br->detached.store(true, std::memory_order_relaxed);
+    MutexLock lock(dyn_mutex);
+    br->failure = Status(st.code(), "branch " + br->pipeline.path +
+                                        " detached: " + st.message());
+    NM_LOG_ERROR() << "query " << id << " " << br->failure.ToString();
+    for (auto it = dyn_branches.begin(); it != dyn_branches.end(); ++it) {
+      if (it->get() != br) continue;
+      retired_dyn.push_back(std::move(*it));
+      dyn_branches.erase(it);
+      break;
+    }
+  }
+
+  // Hands `batch` — or end-of-stream, when null — to every target fed by
+  // the end of `t`'s chain: its key partitions (end-of-stream only; data
+  // is routed by key), its fan-out branches, or, at a shared host's
+  // sink-less tail, the branches attached right now. Every branch
+  // receives the *same* sealed batch: buffers are immutable after seal
+  // and filters refine selection vectors instead of mutating, so the
+  // hand-off is zero-copy.
+  Status PostDownstream(Target* t, const exec::Batch* batch) {
+    for (auto& part : t->partitions) NM_RETURN_NOT_OK(Post(part.get(), batch));
+    for (auto& branch : t->branches) {
+      NM_RETURN_NOT_OK(Post(branch.get(), batch));
+    }
+    if (t->seg->sink || !t->partitions.empty() || !t->branches.empty()) {
+      return Status::OK();
+    }
+    for (Target* attached : AttachedTargets()) {
+      NM_RETURN_NOT_OK(Post(attached, batch));
+    }
     return Status::OK();
   }
 
@@ -341,8 +453,9 @@ struct NodeEngine::RunningQuery {
   // (hash of the key field modulo the partition count) as a selection
   // vector over the *shared* sealed buffer — the hand-off copies row
   // indices, never rows.
-  Status DispatchPartitions(CompiledPipeline* seg, const exec::Batch& batch) {
-    const size_t num_parts = seg->partitions.size();
+  Status DispatchPartitions(Target* t, const exec::Batch& batch) {
+    const CompiledPipeline* seg = t->seg;
+    const size_t num_parts = t->partitions.size();
     const bool text_key = seg->partition_key_type == DataType::kText16 ||
                           seg->partition_key_type == DataType::kText32;
     std::vector<exec::SelectionVector> sels(num_parts);
@@ -359,134 +472,31 @@ struct NodeEngine::RunningQuery {
       const exec::Batch part(
           batch.data,
           std::make_shared<exec::SelectionVector>(std::move(sels[p])));
-      NM_RETURN_NOT_OK(Dispatch(&seg->partitions[p], part));
+      NM_RETURN_NOT_OK(Post(t->partitions[p].get(), &part));
     }
     return Status::OK();
   }
 
   // End of a segment's operator chain: route the batch onward — to the
-  // key partitions, once per fan-out branch (every branch receives the
-  // *same* sealed batch; buffers are immutable after seal and filters
-  // refine selection vectors instead of mutating, so the hand-off is
-  // zero-copy), or into the sink at a leaf.
-  Status DispatchTail(CompiledPipeline* seg, const exec::Batch& batch) {
-    if (!seg->partitions.empty()) return DispatchPartitions(seg, batch);
-    if (!seg->branches.empty()) {
-      for (CompiledPipeline& branch : seg->branches) {
-        NM_RETURN_NOT_OK(Dispatch(&branch, batch));
-      }
-      return Status::OK();
-    }
-    if (seg->sink == nullptr) return DispatchDynamic(batch);
+  // key partitions, to the downstream targets, or into the sink at a
+  // leaf.
+  Status DispatchTail(Target* t, const exec::Batch& batch) {
+    if (!t->partitions.empty()) return DispatchPartitions(t, batch);
+    SinkOperator* sink = t->seg->sink.get();
+    if (sink == nullptr) return PostDownstream(t, &batch);
     if (!metrics_on) {
-      return seg->sink->ProcessBatch(batch, [](const exec::Batch&) {});
+      return sink->ProcessBatch(batch, [](const exec::Batch&) {});
     }
     const uint64_t rows = batch.NumRows();
     const int64_t start = MonotonicNowMicros();
-    const Status st = seg->sink->ProcessBatch(batch, [](const exec::Batch&) {});
-    seg->sink->RecordProcess(MonotonicNowMicros() - start, rows);
+    const Status st = sink->ProcessBatch(batch, [](const exec::Batch&) {});
+    sink->RecordProcess(MonotonicNowMicros() - start, rows);
     m_events_emitted->Add(rows);
     const size_t buffer_rows = batch.data->size();
     if (buffer_rows > 0) {
       m_bytes_emitted->Add(rows * (batch.data->SizeBytes() / buffer_rows));
     }
     return st;
-  }
-
-  // Tail of a shared host: hand the sealed batch to every branch attached
-  // right now. The snapshot copies shared_ptrs under the lock and posts
-  // outside it, so admission/teardown never contends with branch
-  // execution, only with this per-buffer copy. Each branch runs on its
-  // own strand — the zero-copy fan-out concurrency model, for branches
-  // that appear and disappear at runtime.
-  Status DispatchDynamic(const exec::Batch& batch) {
-    std::vector<std::shared_ptr<DynamicBranch>> active;
-    {
-      MutexLock lock(dyn_mutex);
-      active = dyn_branches;
-    }
-    for (const std::shared_ptr<DynamicBranch>& br : active) {
-      if (br->detached.load(std::memory_order_relaxed)) continue;
-      StrandMetrics* sm = metrics_on ? &br->sm : nullptr;
-      if (!pool) {
-        if (sm) sm->task_wait->Record(0);
-        const Status st = PushThrough(br->pipeline.get(), 0, batch);
-        if (!st.ok()) FailBranch(br, st);
-        continue;
-      }
-      int64_t posted_at = 0;
-      if (sm) {
-        posted_at = MonotonicNowMicros();
-        const int64_t d =
-            sm->depth.fetch_add(1, std::memory_order_relaxed) + 1;
-        sm->queue_depth->Set(static_cast<double>(d));
-      }
-      br->strand->Post([this, br, batch, sm, posted_at] {
-        if (sm) {
-          sm->task_wait->Record(MonotonicNowMicros() - posted_at);
-          const int64_t d =
-              sm->depth.fetch_sub(1, std::memory_order_relaxed) - 1;
-          sm->queue_depth->Set(static_cast<double>(d));
-        }
-        if (failed.load(std::memory_order_relaxed) ||
-            cancel.load(std::memory_order_relaxed) ||
-            br->detached.load(std::memory_order_relaxed)) {
-          return;
-        }
-        const Status st = PushThrough(br->pipeline.get(), 0, batch);
-        if (!st.ok()) FailBranch(br, st);
-      });
-    }
-    return Status::OK();
-  }
-
-  // Fault isolation for shared hosts: a branch whose own operators error
-  // is force-detached with a descriptive status instead of failing the
-  // host — its siblings and the shared ingest keep running, and the
-  // branch's owner reads the failure through `BranchStatus`. Does NOT set
-  // `failed`: that flag kills the whole host.
-  void FailBranch(const std::shared_ptr<DynamicBranch>& br,
-                  const Status& st) NM_EXCLUDES(dyn_mutex) {
-    br->detached.store(true, std::memory_order_relaxed);
-    MutexLock lock(dyn_mutex);
-    br->failure = Status(st.code(), "branch " + br->pipeline->path +
-                                        " detached: " + st.message());
-    NM_LOG_ERROR() << "query " << id << " " << br->failure.ToString();
-    for (auto it = dyn_branches.begin(); it != dyn_branches.end(); ++it) {
-      if (it->get() != br.get()) continue;
-      retired_dyn.push_back(std::move(*it));
-      dyn_branches.erase(it);
-      break;
-    }
-  }
-
-  // End-of-stream for a shared host's branches: finish each surviving
-  // branch on its own strand (FIFO order — every data task was posted
-  // first, so Finish observes the complete shared stream).
-  Status FinishDynamicBranches() {
-    std::vector<std::shared_ptr<DynamicBranch>> active;
-    {
-      MutexLock lock(dyn_mutex);
-      active = dyn_branches;
-    }
-    for (const std::shared_ptr<DynamicBranch>& br : active) {
-      if (br->detached.load(std::memory_order_relaxed)) continue;
-      if (!pool) {
-        const Status st = FinishSegment(br->pipeline.get());
-        if (!st.ok()) FailBranch(br, st);
-        continue;
-      }
-      br->strand->Post([this, br] {
-        if (failed.load(std::memory_order_relaxed) ||
-            cancel.load(std::memory_order_relaxed) ||
-            br->detached.load(std::memory_order_relaxed)) {
-          return;
-        }
-        const Status st = FinishSegment(br->pipeline.get());
-        if (!st.ok()) FailBranch(br, st);
-      });
-    }
-    return Status::OK();
   }
 
   // Pushes a batch through segment operators [from..] and onward via
@@ -496,19 +506,18 @@ struct NodeEngine::RunningQuery {
   // of the chain). Fused batch-kernel operators time their stages
   // internally instead and leave the base histograms unbound, so the
   // outer RecordProcess no-ops for them.
-  Status PushThrough(CompiledPipeline* seg, size_t from,
-                     const exec::Batch& batch) {
+  Status PushThrough(Target* t, size_t from, const exec::Batch& batch) {
     if (verify_batches && from == 0) {
       NM_RETURN_NOT_OK(analysis::VerifyBatch(batch));
     }
-    if (from >= seg->operators.size()) {
-      return DispatchTail(seg, batch);
+    if (from >= t->seg->operators.size()) {
+      return DispatchTail(t, batch);
     }
-    Operator* op = seg->operators[from].get();
+    Operator* op = t->seg->operators[from].get();
     if (!metrics_on) {
       Status inner = Status::OK();
-      auto forward = [this, seg, from, &inner](const exec::Batch& out) {
-        Status st = PushThrough(seg, from + 1, out);
+      auto forward = [this, t, from, &inner](const exec::Batch& out) {
+        Status st = PushThrough(t, from + 1, out);
         if (!st.ok() && inner.ok()) inner = st;
       };
       Status s = op->ProcessBatch(batch, forward);
@@ -518,10 +527,10 @@ struct NodeEngine::RunningQuery {
     const uint64_t rows_in = batch.NumRows();
     int64_t child_micros = 0;
     Status inner = Status::OK();
-    auto forward = [this, seg, from, &inner,
+    auto forward = [this, t, from, &inner,
                     &child_micros](const exec::Batch& out) {
       const int64_t t0 = MonotonicNowMicros();
-      Status st = PushThrough(seg, from + 1, out);
+      Status st = PushThrough(t, from + 1, out);
       child_micros += MonotonicNowMicros() - t0;
       if (!st.ok() && inner.ok()) inner = st;
     };
@@ -532,55 +541,23 @@ struct NodeEngine::RunningQuery {
     return inner;
   }
 
-  // Finishes `target` on its own strand (inline without a pool). Strand
-  // FIFO order makes this safe: every data task for the target was posted
-  // before the finish task, so Finish observes the complete stream.
-  Status FinishTarget(CompiledPipeline* target) {
-    if (!pool) return FinishSegment(target);
-    strands.at(target)->Post([this, target] {
-      if (failed.load(std::memory_order_relaxed) ||
-          cancel.load(std::memory_order_relaxed)) {
-        return;
-      }
-      const Status st = FinishSegment(target);
-      if (!st.ok()) {
-        RecordFailure(target->path.empty() ? "root" : target->path, st);
-      }
-    });
-    return Status::OK();
-  }
-
   // End-of-stream: cascade Finish through the segment's chain (flushed
   // state flows through the rest of the chain and into the downstream
-  // targets), then finish each partition and branch pipeline.
-  Status FinishSegment(CompiledPipeline* seg) {
-    for (size_t i = 0; i < seg->operators.size(); ++i) {
+  // targets), then finish every downstream target.
+  Status FinishSegment(Target* t) {
+    for (size_t i = 0; i < t->seg->operators.size(); ++i) {
       Status inner = Status::OK();
-      auto forward = [this, seg, i, &inner](const TupleBufferPtr& out) {
+      auto forward = [this, t, i, &inner](const TupleBufferPtr& out) {
         out->Seal();
-        Status st = PushThrough(seg, i + 1, exec::Batch(out));
+        Status st = PushThrough(t, i + 1, exec::Batch(out));
         if (!st.ok() && inner.ok()) inner = st;
       };
-      Status s = seg->operators[i]->Finish(forward);
+      Status s = t->seg->operators[i]->Finish(forward);
       if (!s.ok()) return s;
       if (!inner.ok()) return inner;
     }
-    for (CompiledPipeline& part : seg->partitions) {
-      NM_RETURN_NOT_OK(FinishTarget(&part));
-    }
-    for (CompiledPipeline& branch : seg->branches) {
-      NM_RETURN_NOT_OK(FinishTarget(&branch));
-    }
-    if (seg->sink == nullptr && seg->partitions.empty() &&
-        seg->branches.empty()) {
-      // Shared-host leaf: end-of-stream cascades into whatever dynamic
-      // branches are attached.
-      return FinishDynamicBranches();
-    }
-    return Status::OK();
+    return PostDownstream(t, nullptr);
   }
-
-  Status FinishAll() { return FinishSegment(&pipeline); }
 
   // Opens every operator and sink in the tree. Partition clones share
   // their leaf sink, so it is opened once per clone — Open only stores
@@ -598,15 +575,92 @@ struct NodeEngine::RunningQuery {
     }
     return Status::OK();
   }
+
+  // Counters every view of the query shares: ingest, wall time, pooled
+  // buffers and shed morsels.
+  QueryStats HostStats() const {
+    QueryStats stats;
+    stats.events_ingested = events_ingested.load();
+    stats.bytes_ingested = bytes_ingested.load();
+    if (finished.load()) {
+      stats.elapsed_micros = finished_at.load() - started_at.load();
+    } else if (started.load()) {
+      stats.elapsed_micros = MonotonicNowMicros() - started_at.load();
+    }
+    stats.buffers_acquired = ctx->TotalBuffersAcquired();
+    stats.tasks_shed = pool ? pool->tasks_shed() : 0;
+    return stats;
+  }
+
+  // Depth-first over a pipeline tree: operators keyed by DAG path, one
+  // SinkStats entry per leaf, emitted totals summed across sinks. Fused
+  // batch-kernel operators expand to one entry per fused stage, so the
+  // sequence matches the logical plan shape either way. Partition clones
+  // carry their segment's path and identical operator sequences, so their
+  // entries sum element-wise into one per-path sequence — and they share
+  // one sink, counted once.
+  static void AppendFlow(const CompiledPipeline& seg, QueryStats* stats) {
+    const std::string prefix = seg.path.empty() ? "" : seg.path + "/";
+    for (const OperatorPtr& op : seg.operators) {
+      op->AppendStats(prefix, &stats->operator_stats);
+    }
+    const CompiledPipeline* leaf = &seg;
+    if (!seg.partitions.empty()) {
+      std::vector<std::pair<std::string, OperatorStats>> summed;
+      for (const CompiledPipeline& part : seg.partitions) {
+        std::vector<std::pair<std::string, OperatorStats>> one;
+        for (const OperatorPtr& op : part.operators) {
+          op->AppendStats(prefix, &one);
+        }
+        if (summed.empty()) {
+          summed = std::move(one);
+        } else {
+          for (size_t i = 0; i < summed.size() && i < one.size(); ++i) {
+            summed[i].second.Add(one[i].second);
+          }
+        }
+      }
+      for (auto& entry : summed) {
+        stats->operator_stats.push_back(std::move(entry));
+      }
+      leaf = &seg.partitions.front();
+    }
+    if (leaf->sink) {
+      const OperatorStats sink_flow = leaf->sink->stats();
+      stats->operator_stats.emplace_back(prefix + leaf->sink->name(),
+                                         sink_flow);
+      SinkStats sink_stats;
+      sink_stats.path = seg.path;
+      sink_stats.name = leaf->sink->name();
+      sink_stats.events_emitted = sink_flow.events_in;
+      sink_stats.bytes_emitted = sink_flow.bytes_in;
+      stats->events_emitted += sink_stats.events_emitted;
+      stats->bytes_emitted += sink_stats.bytes_emitted;
+      stats->sink_stats.push_back(std::move(sink_stats));
+    }
+    for (const CompiledPipeline& branch : seg.branches) {
+      AppendFlow(branch, stats);
+    }
+  }
 };
 
-NodeEngine::NodeEngine(EngineOptions options)
-    : options_(options),
-      worker_threads_(ResolveWorkerThreads(options.worker_threads)) {
+NodeEngine::NodeEngine(EngineOptions options) : options_(options) {
+  // Malformed environment overrides are reported by the next Submit
+  // rather than ignored: a CI job whose toggle is mistyped must fail, not
+  // pass silently under the defaults.
+  Result<size_t> workers = ResolveWorkerThreads(options.worker_threads);
+  if (workers.ok()) {
+    worker_threads_ = *workers;
+  } else {
+    env_status_ = workers.status();
+  }
   // NM_FAULT_PROFILE overrides the configured channel fault profile — the
   // CI fault-injection gate runs the whole suite lossy through this.
-  if (std::optional<FaultProfile> env = EnvFaultProfile()) {
-    options_.faults.profile = *env;
+  Result<std::optional<FaultProfile>> env = EnvFaultProfile();
+  if (!env.ok()) {
+    if (env_status_.ok()) env_status_ = env.status();
+  } else if (env->has_value()) {
+    options_.faults.profile = **env;
   }
 }
 
@@ -619,7 +673,15 @@ NodeEngine::~NodeEngine() {
   for (int id : ids) (void)Cancel(id);
 }
 
+Result<NodeEngine::RunningQuery*> NodeEngine::Find(int query_id) const {
+  MutexLock lock(mutex_);
+  auto it = queries_.find(query_id);
+  if (it == queries_.end()) return Status::NotFound("unknown query id");
+  return it->second.get();
+}
+
 Result<int> NodeEngine::Submit(LogicalPlan plan) {
+  NM_RETURN_NOT_OK(env_status_);
   NM_RETURN_NOT_OK(plan.Validate());
   auto rq = std::make_unique<RunningQuery>();
   rq->plan_text.logical = plan.Explain();
@@ -633,23 +695,39 @@ Result<int> NodeEngine::Submit(LogicalPlan plan) {
     NM_RETURN_NOT_OK(rewriter.Rewrite(&plan));
   }
   rq->plan_text.optimized = plan.Explain();
+  NM_RETURN_NOT_OK(Compile(rq.get(), plan, worker_threads_));
+  return Install(std::move(rq), &plan);
+}
+
+Result<int> NodeEngine::Submit(Query query) {
+  NM_ASSIGN_OR_RETURN(LogicalPlan plan, std::move(query).Build());
+  return Submit(std::move(plan));
+}
+
+Status NodeEngine::Compile(RunningQuery* rq, const LogicalPlan& plan,
+                           size_t partitions) const {
   if (options_.optimizer.verify_each) {
     analysis::VerifyContext vctx;
     vctx.topology = options_.topology;
+    vctx.shared_prefix = rq->shared_host;
     NM_RETURN_NOT_OK(analysis::VerifyPlan(plan, vctx));
   }
-  CompileOptions compile_options;
-  compile_options.compiled_kernels = options_.compiled_kernels;
-  compile_options.partitions = worker_threads_;
-  compile_options.faults = options_.faults;
   NM_ASSIGN_OR_RETURN(rq->pipeline,
                       CompilePlan(plan.source()->schema(), plan,
-                                  options_.topology, compile_options));
+                                  options_.topology,
+                                  MakeCompileOptions(options_, partitions)));
+  return Status::OK();
+}
+
+Result<int> NodeEngine::Install(std::unique_ptr<RunningQuery> rq,
+                                LogicalPlan* plan) {
   if (options_.optimizer.verify_each) {
-    NM_RETURN_NOT_OK(analysis::VerifyPipeline(rq->pipeline));
+    analysis::PipelineVerifyContext pctx;
+    pctx.expect_dynamic_tail = rq->shared_host;
+    NM_RETURN_NOT_OK(analysis::VerifyPipeline(rq->pipeline, pctx));
     rq->verify_batches = true;
   }
-  rq->source = plan.TakeSource();
+  rq->source = plan->TakeSource();
   rq->ctx = std::make_unique<ExecutionContext>(options_.tuples_per_buffer,
                                                options_.pool_size);
   NM_RETURN_NOT_OK(rq->OpenAll(&rq->pipeline));
@@ -663,8 +741,8 @@ Result<int> NodeEngine::Submit(LogicalPlan plan) {
     rq->m_ingest_rate = rq->metrics->GetGauge("engine.ingest_events_per_sec");
     rq->m_emit_rate = rq->metrics->GetGauge("engine.emit_events_per_sec");
     rq->m_samples = rq->metrics->GetCounter("engine.metric_samples");
-    rq->BindMetricsTree(&rq->pipeline);
   }
+  rq->BindTargets(&rq->root, &rq->pipeline);
   MutexLock lock(mutex_);
   const int id = next_id_++;
   rq->id = id;
@@ -672,12 +750,8 @@ Result<int> NodeEngine::Submit(LogicalPlan plan) {
   return id;
 }
 
-Result<int> NodeEngine::Submit(Query query) {
-  NM_ASSIGN_OR_RETURN(LogicalPlan plan, std::move(query).Build());
-  return Submit(std::move(plan));
-}
-
 Result<int> NodeEngine::SubmitShared(LogicalPlan plan, int delivery_node) {
+  NM_RETURN_NOT_OK(env_status_);
   if (plan.source() == nullptr) {
     return Status::InvalidArgument("shared plan has no source");
   }
@@ -694,21 +768,10 @@ Result<int> NodeEngine::SubmitShared(LogicalPlan plan, int delivery_node) {
   rq->plan_text.logical = plan.Explain();
   // Submitted verbatim: the serving manager already optimized the prefix,
   // and rewriting here could change the shape branch suffixes were
-  // structurally matched against.
+  // structurally matched against. Never partitioned: the stateful tails
+  // live in the branches.
   rq->plan_text.optimized = rq->plan_text.logical;
-  if (options_.optimizer.verify_each) {
-    analysis::VerifyContext vctx;
-    vctx.topology = options_.topology;
-    vctx.shared_prefix = true;
-    NM_RETURN_NOT_OK(analysis::VerifyPlan(plan, vctx));
-  }
-  CompileOptions compile_options;
-  compile_options.compiled_kernels = options_.compiled_kernels;
-  compile_options.partitions = 1;  // the stateful tails live in branches
-  compile_options.faults = options_.faults;
-  NM_ASSIGN_OR_RETURN(rq->pipeline,
-                      CompilePlan(plan.source()->schema(), plan,
-                                  options_.topology, compile_options));
+  NM_RETURN_NOT_OK(Compile(rq.get(), plan, 1));
   // Fleet delivery: ship the shared stream once to the node the branches
   // run on. Every attached branch then consumes node-local data, so the
   // uplink cost stays flat no matter how many client queries share the
@@ -736,46 +799,12 @@ Result<int> NodeEngine::SubmitShared(LogicalPlan plan, int delivery_node) {
       rq->pipeline.channels.push_back(std::move(channel));
     }
   }
-  if (options_.optimizer.verify_each) {
-    analysis::PipelineVerifyContext pctx;
-    pctx.expect_dynamic_tail = true;
-    NM_RETURN_NOT_OK(analysis::VerifyPipeline(rq->pipeline, pctx));
-    rq->verify_batches = true;
-  }
-  rq->source = plan.TakeSource();
-  rq->ctx = std::make_unique<ExecutionContext>(options_.tuples_per_buffer,
-                                               options_.pool_size);
-  NM_RETURN_NOT_OK(rq->OpenAll(&rq->pipeline));
-  rq->metrics_on = options_.metrics_enabled;
-  if (rq->metrics_on) {
-    rq->metrics = std::make_unique<metrics::MetricsRegistry>();
-    rq->m_events_ingested = rq->metrics->GetCounter("engine.events_ingested");
-    rq->m_bytes_ingested = rq->metrics->GetCounter("engine.bytes_ingested");
-    rq->m_events_emitted = rq->metrics->GetCounter("engine.events_emitted");
-    rq->m_bytes_emitted = rq->metrics->GetCounter("engine.bytes_emitted");
-    rq->m_ingest_rate = rq->metrics->GetGauge("engine.ingest_events_per_sec");
-    rq->m_emit_rate = rq->metrics->GetGauge("engine.emit_events_per_sec");
-    rq->m_samples = rq->metrics->GetCounter("engine.metric_samples");
-    rq->BindMetricsTree(&rq->pipeline);
-  }
-  MutexLock lock(mutex_);
-  const int id = next_id_++;
-  rq->id = id;
-  queries_[id] = std::move(rq);
-  return id;
+  return Install(std::move(rq), &plan);
 }
 
 Result<int> NodeEngine::AttachBranch(
     int host_id, std::vector<LogicalOperatorPtr> suffix_ops) {
-  RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(host_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(RunningQuery * rq, Find(host_id));
   if (!rq->shared_host) {
     return Status::FailedPrecondition(
         "query is not a shared host (SubmitShared)");
@@ -790,7 +819,7 @@ Result<int> NodeEngine::AttachBranch(
           "branch suffix must be linear; attach one branch per leaf");
     }
   }
-  auto br = std::make_shared<RunningQuery::DynamicBranch>();
+  auto br = std::make_unique<RunningQuery::DynamicBranch>();
   {
     MutexLock lock(rq->dyn_mutex);
     br->id = rq->next_branch_id++;
@@ -801,67 +830,33 @@ Result<int> NodeEngine::AttachBranch(
   // second channel.
   LogicalPlan suffix_plan;
   for (LogicalOperatorPtr& op : suffix_ops) suffix_plan.Append(std::move(op));
-  CompileOptions copts;
-  copts.compiled_kernels = options_.compiled_kernels;
-  copts.partitions = 1;
-  copts.faults = options_.faults;
-  br->pipeline = std::make_unique<CompiledPipeline>();
-  NM_ASSIGN_OR_RETURN(*br->pipeline,
+  NM_ASSIGN_OR_RETURN(br->pipeline,
                       CompilePlan(rq->pipeline.output_schema, suffix_plan,
-                                  nullptr, copts));
-  if (br->pipeline->sink == nullptr || !br->pipeline->branches.empty()) {
+                                  nullptr, MakeCompileOptions(options_, 1)));
+  if (br->pipeline.sink == nullptr || !br->pipeline.branches.empty()) {
     return Status::InvalidArgument(
         "branch suffix must compile to one linear chain ending in a sink");
   }
-  br->pipeline->path = "b" + std::to_string(br->id);
+  br->pipeline.path = "b" + std::to_string(br->id);
   if (options_.optimizer.verify_each) {
     analysis::PipelineVerifyContext pctx;
-    pctx.root_path = br->pipeline->path;
-    NM_RETURN_NOT_OK(analysis::VerifyPipeline(*br->pipeline, pctx));
+    pctx.root_path = br->pipeline.path;
+    NM_RETURN_NOT_OK(analysis::VerifyPipeline(br->pipeline, pctx));
   }
-  for (OperatorPtr& op : br->pipeline->operators) {
-    NM_RETURN_NOT_OK(op->Open(rq->ctx.get()));
-  }
-  NM_RETURN_NOT_OK(br->pipeline->sink->Open(rq->ctx.get()));
-  if (rq->metrics_on) {
-    const std::string path_key = br->pipeline->path;
-    const std::string prefix = path_key + "/";
-    for (OperatorPtr& op : br->pipeline->operators) {
-      op->BindMetrics(rq->metrics.get(), prefix);
-    }
-    br->pipeline->sink->BindMetrics(rq->metrics.get(), prefix);
-    br->sm.queue_depth =
-        rq->metrics->GetGauge("worker.strand." + path_key + ".queue_depth");
-    br->sm.task_wait = rq->metrics->GetHistogram("worker.strand." + path_key +
-                                                 ".task_wait_micros");
-  }
-  // Publication point: the next DispatchDynamic snapshot sees the branch,
-  // so it joins the stream at a buffer boundary.
+  NM_RETURN_NOT_OK(rq->OpenAll(&br->pipeline));
+  br->target.owner = br.get();
+  rq->BindTargets(&br->target, &br->pipeline);
+  // Publication point: the next tail snapshot sees the branch, so it joins
+  // the stream at a buffer boundary.
   MutexLock lock(rq->dyn_mutex);
-  if (rq->pool) br->strand = rq->pool->MakeStrand();
   const int branch_id = br->id;
   rq->dyn_branches.push_back(std::move(br));
-  if (options_.optimizer.verify_each && rq->pool) {
-    std::vector<std::pair<std::string, const void*>> owners;
-    owners.reserve(rq->dyn_branches.size());
-    for (const auto& b : rq->dyn_branches) {
-      owners.emplace_back(b->pipeline->path, b->strand.get());
-    }
-    NM_RETURN_NOT_OK(analysis::VerifyStrandOwnership(owners));
-  }
+  if (rq->pool) NM_RETURN_NOT_OK(rq->MakeStrands());
   return branch_id;
 }
 
 Status NodeEngine::DetachBranch(int host_id, int branch_id) {
-  RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(host_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(RunningQuery * rq, Find(host_id));
   MutexLock lock(rq->dyn_mutex);
   for (auto it = rq->dyn_branches.begin(); it != rq->dyn_branches.end();
        ++it) {
@@ -885,15 +880,7 @@ Status NodeEngine::DetachBranch(int host_id, int branch_id) {
 }
 
 Status NodeEngine::BranchStatus(int host_id, int branch_id) const {
-  const RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(host_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(host_id));
   MutexLock lock(rq->dyn_mutex);
   for (const auto& br : rq->dyn_branches) {
     if (br->id == branch_id) return Status::OK();
@@ -905,62 +892,29 @@ Status NodeEngine::BranchStatus(int host_id, int branch_id) const {
 }
 
 Result<QueryStats> NodeEngine::BranchStats(int host_id, int branch_id) const {
-  const RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(host_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
-  std::shared_ptr<RunningQuery::DynamicBranch> br;
+  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(host_id));
+  // Branches are never destroyed before their host, so the pointer stays
+  // valid after the lock is released.
+  const CompiledPipeline* branch = nullptr;
   {
     MutexLock lock(rq->dyn_mutex);
     for (const auto& candidate : rq->dyn_branches) {
       if (candidate->id == branch_id) {
-        br = candidate;
+        branch = &candidate->pipeline;
         break;
       }
     }
   }
-  if (!br) return Status::NotFound("unknown branch id");
-  QueryStats stats;
+  if (branch == nullptr) return Status::NotFound("unknown branch id");
   // Shared ingest: every branch of the host rides the same source stream.
-  stats.events_ingested = rq->events_ingested.load();
-  stats.bytes_ingested = rq->bytes_ingested.load();
-  if (rq->finished.load()) {
-    stats.elapsed_micros = rq->finished_at.load() - rq->started_at.load();
-  } else if (rq->started.load()) {
-    stats.elapsed_micros = MonotonicNowMicros() - rq->started_at.load();
-  }
-  stats.buffers_acquired = rq->ctx->TotalBuffersAcquired();
-  stats.tasks_shed = rq->pool ? rq->pool->tasks_shed() : 0;
-  const std::string prefix = br->pipeline->path + "/";
-  for (const OperatorPtr& op : br->pipeline->operators) {
-    op->AppendStats(prefix, &stats.operator_stats);
-  }
-  const OperatorStats sink_flow = br->pipeline->sink->stats();
-  stats.operator_stats.emplace_back(prefix + br->pipeline->sink->name(),
-                                    sink_flow);
-  SinkStats sink_stats;
-  sink_stats.path = br->pipeline->path;
-  sink_stats.name = br->pipeline->sink->name();
-  sink_stats.events_emitted = sink_flow.events_in;
-  sink_stats.bytes_emitted = sink_flow.bytes_in;
-  stats.events_emitted = sink_stats.events_emitted;
-  stats.bytes_emitted = sink_stats.bytes_emitted;
-  stats.sink_stats.push_back(std::move(sink_stats));
+  QueryStats stats = rq->HostStats();
+  RunningQuery::AppendFlow(*branch, &stats);
   return stats;
 }
 
 Result<QueryPlanText> NodeEngine::Explain(int query_id) const {
-  MutexLock lock(mutex_);
-  auto it = queries_.find(query_id);
-  if (it == queries_.end()) {
-    return Status::NotFound("unknown query id");
-  }
-  return it->second->plan_text;
+  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(query_id));
+  return rq->plan_text;
 }
 
 void NodeEngine::SourceLoop(RunningQuery* rq) {
@@ -993,7 +947,7 @@ void NodeEngine::RunLoop(RunningQuery* rq) {
     while (true) {
       TupleBufferPtr buf = rq->queue->Pop();
       if (!buf) break;
-      status = rq->PushThrough(&rq->pipeline, 0, exec::Batch(std::move(buf)));
+      status = rq->PushThrough(&rq->root, 0, exec::Batch(std::move(buf)));
       if (!status.ok() || rq->cancel.load() ||
           rq->failed.load(std::memory_order_relaxed)) {
         break;
@@ -1021,16 +975,16 @@ void NodeEngine::RunLoop(RunningQuery* rq) {
       if (!buf->empty()) {
         buf->Seal();
         status =
-            rq->PushThrough(&rq->pipeline, 0, exec::Batch(std::move(buf)));
+            rq->PushThrough(&rq->root, 0, exec::Batch(std::move(buf)));
         if (!status.ok()) break;
       }
       if (!*more) break;
     }
   }
   // Cancellation is not end-of-stream: a cancelled query must not flush
-  // its window/CEP state as if the stream completed, so FinishAll is
+  // its window/CEP state as if the stream completed, so the finish cascade is
   // skipped — partial panes are simply dropped with the query.
-  if (status.ok() && !rq->cancel.load()) status = rq->FinishAll();
+  if (status.ok() && !rq->cancel.load()) status = rq->FinishSegment(&rq->root);
   // Run every dispatched morsel (including the finish cascades just
   // posted) to completion before reading the task-side error slot; the
   // drain also guarantees task-captured buffer handles have recycled —
@@ -1054,15 +1008,7 @@ void NodeEngine::RunLoop(RunningQuery* rq) {
 }
 
 Status NodeEngine::Start(int query_id) {
-  RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(RunningQuery * rq, Find(query_id));
   if (rq->started.exchange(true)) {
     return Status::FailedPrecondition("query already started");
   }
@@ -1077,18 +1023,7 @@ Status NodeEngine::Start(int query_id) {
     rq->pool = std::make_unique<WorkerPool>(worker_threads_,
                                             options_.queue_capacity,
                                             options_.faults.retry.shed_policy);
-    rq->MakeStrands(&rq->pipeline);
-    for (const auto& br : rq->dyn_branches) {
-      if (!br->strand) br->strand = rq->pool->MakeStrand();
-    }
-    if (rq->verify_batches && !rq->dyn_branches.empty()) {
-      std::vector<std::pair<std::string, const void*>> owners;
-      owners.reserve(rq->dyn_branches.size());
-      for (const auto& br : rq->dyn_branches) {
-        owners.emplace_back(br->pipeline->path, br->strand.get());
-      }
-      NM_RETURN_NOT_OK(analysis::VerifyStrandOwnership(owners));
-    }
+    NM_RETURN_NOT_OK(rq->MakeStrands());
   }
   if (options_.pipelined) {
     rq->queue = std::make_unique<BoundedQueue>(options_.queue_capacity);
@@ -1118,15 +1053,7 @@ Status NodeEngine::Start(int query_id) {
 }
 
 Status NodeEngine::Wait(int query_id) {
-  RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(RunningQuery * rq, Find(query_id));
   if (!rq->started.load()) {
     return Status::FailedPrecondition("query not started");
   }
@@ -1136,15 +1063,7 @@ Status NodeEngine::Wait(int query_id) {
 }
 
 Status NodeEngine::Cancel(int query_id) {
-  RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(RunningQuery * rq, Find(query_id));
   rq->cancel.store(true);
   if (rq->queue) rq->queue->Close();
   if (!rq->started.load()) return Status::OK();
@@ -1157,107 +1076,19 @@ Status NodeEngine::RunToCompletion(int query_id) {
 }
 
 Result<QueryStats> NodeEngine::Stats(int query_id) const {
-  const RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
-  QueryStats stats;
-  stats.events_ingested = rq->events_ingested.load();
-  stats.bytes_ingested = rq->bytes_ingested.load();
-  if (rq->finished.load()) {
-    stats.elapsed_micros = rq->finished_at.load() - rq->started_at.load();
-  } else if (rq->started.load()) {
-    stats.elapsed_micros = MonotonicNowMicros() - rq->started_at.load();
-  }
-  stats.buffers_acquired = rq->ctx->TotalBuffersAcquired();
-  stats.tasks_shed = rq->pool ? rq->pool->tasks_shed() : 0;
-  // Depth-first over the pipeline tree: operators keyed by DAG path, one
-  // SinkStats entry per leaf, emitted totals summed across sinks. Fused
-  // batch-kernel operators expand to one entry per fused stage, so the
-  // sequence matches the logical plan shape either way. Partition clones
-  // carry their segment's path and identical operator sequences, so their
-  // entries sum element-wise into one per-path sequence — and they share
-  // one sink, counted once.
-  const auto append_sink = [&stats](const CompiledPipeline& seg,
-                                    const std::string& prefix) {
-    const OperatorStats sink_flow = seg.sink->stats();
-    stats.operator_stats.emplace_back(prefix + seg.sink->name(), sink_flow);
-    SinkStats sink_stats;
-    sink_stats.path = seg.path;
-    sink_stats.name = seg.sink->name();
-    sink_stats.events_emitted = sink_flow.events_in;
-    sink_stats.bytes_emitted = sink_flow.bytes_in;
-    stats.events_emitted += sink_stats.events_emitted;
-    stats.bytes_emitted += sink_stats.bytes_emitted;
-    stats.sink_stats.push_back(std::move(sink_stats));
-  };
-  const std::function<void(const CompiledPipeline&)> visit =
-      [&](const CompiledPipeline& seg) {
-        const std::string prefix = seg.path.empty() ? "" : seg.path + "/";
-        for (const OperatorPtr& op : seg.operators) {
-          op->AppendStats(prefix, &stats.operator_stats);
-        }
-        if (!seg.partitions.empty()) {
-          std::vector<std::pair<std::string, OperatorStats>> summed;
-          for (const CompiledPipeline& part : seg.partitions) {
-            std::vector<std::pair<std::string, OperatorStats>> one;
-            for (const OperatorPtr& op : part.operators) {
-              op->AppendStats(prefix, &one);
-            }
-            if (summed.empty()) {
-              summed = std::move(one);
-            } else {
-              for (size_t i = 0; i < summed.size() && i < one.size(); ++i) {
-                summed[i].second.Add(one[i].second);
-              }
-            }
-          }
-          for (auto& entry : summed) {
-            stats.operator_stats.push_back(std::move(entry));
-          }
-          if (seg.partitions.front().sink) {
-            append_sink(seg.partitions.front(), prefix);
-          }
-          return;
-        }
-        if (seg.sink) append_sink(seg, prefix);
-        for (const CompiledPipeline& branch : seg.branches) visit(branch);
-      };
-  visit(rq->pipeline);
+  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(query_id));
+  QueryStats stats = rq->HostStats();
+  RunningQuery::AppendFlow(rq->pipeline, &stats);
   // Shared hosts carry their attached branches' flow too, so the host
   // view sums emitted counts across every client riding the prefix.
-  if (rq->shared_host) {
-    std::vector<std::shared_ptr<RunningQuery::DynamicBranch>> branches;
-    {
-      MutexLock lock(rq->dyn_mutex);
-      branches = rq->dyn_branches;
-    }
-    for (const auto& br : branches) {
-      const std::string prefix = br->pipeline->path + "/";
-      for (const OperatorPtr& op : br->pipeline->operators) {
-        op->AppendStats(prefix, &stats.operator_stats);
-      }
-      append_sink(*br->pipeline, prefix);
-    }
+  for (const RunningQuery::Target* t : rq->AttachedTargets()) {
+    RunningQuery::AppendFlow(*t->seg, &stats);
   }
   return stats;
 }
 
 Result<metrics::MetricsSnapshot> NodeEngine::Metrics(int query_id) const {
-  const RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(query_id));
   if (!rq->metrics) {
     return Status::FailedPrecondition(
         "metrics disabled (EngineOptions::metrics_enabled = false)");
@@ -1266,15 +1097,7 @@ Result<metrics::MetricsSnapshot> NodeEngine::Metrics(int query_id) const {
 }
 
 Result<DeploymentReport> NodeEngine::Deployment(int query_id) const {
-  const RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(query_id));
   // Every channel lowered anywhere in the pipeline tree, depth-first.
   std::vector<std::shared_ptr<NetworkChannel>> channels;
   ForEachSegment(rq->pipeline, [&channels](const CompiledPipeline& seg) {

@@ -6,22 +6,27 @@
 /// pull-based: the query's worker thread fills a buffer from the source,
 /// seals it, and pushes it through the chain as a *batch* (buffer +
 /// selection vector, exec/batch.hpp) without intermediate queueing —
-/// NebulaStream's pipeline model. At a fan-out the shared prefix executes
-/// *once* per buffer and every branch receives the *same* sealed batch
-/// (zero-copy; selection vectors keep branch filtering independent), so
-/// several sinks (alerting + archival) ride one ingest without the
-/// hand-off copies the engine used to pay per branch.
-/// An optional *pipelined* mode decouples source and processing onto two
-/// threads with a bounded hand-off queue (backpressure). Multiple queries
-/// run concurrently on their own threads.
+/// NebulaStream's pipeline model. An optional *pipelined* mode decouples
+/// source and processing onto two threads with a bounded hand-off queue
+/// (backpressure). Multiple queries run concurrently on their own threads.
 ///
-/// With `EngineOptions::worker_threads > 1` execution is *morsel-driven*
-/// (docs/ARCHITECTURE.md "Threading model"): a fixed worker pool pulls
-/// (dispatch-target, sealed-batch) morsels from per-target strands — each
-/// fan-out branch runs concurrently per ingested buffer, and a qualifying
+/// Every pipeline a sealed batch is handed to is a *dispatch target*: a
+/// static fan-out branch, a key-partition clone, or a branch attached at
+/// runtime below a shared host (`SubmitShared` / `AttachBranch`). All of
+/// them go through one hand-off — the shared prefix executes *once* per
+/// buffer and every target receives the *same* sealed batch (zero-copy;
+/// selection vectors keep branch filtering independent). With
+/// `EngineOptions::worker_threads` = 1 the hand-off runs the target
+/// inline; with N > 1 execution is *morsel-driven* (docs/ARCHITECTURE.md
+/// "Threading model"): a fixed worker pool pulls (target, batch) morsels
+/// from per-target strands, so targets run concurrently while each keeps
+/// its state single-threaded and its buffer order intact. A qualifying
 /// keyed stateful suffix is compiled once per worker and fed by hashing
 /// the key into per-partition selection vectors, so every clone owns
-/// disjoint state and per-key results match sequential execution.
+/// disjoint state and per-key results match sequential execution. The
+/// only difference between static and attached targets is failure: an
+/// attached branch that errors is detached alone, any other target fails
+/// the query.
 ///
 /// The engine tracks per-query statistics — events/bytes ingested and
 /// emitted, wall-clock time, derived e/s and MB/s, per-operator flow keyed
@@ -103,7 +108,9 @@ struct EngineOptions {
   /// concurrently and hash-partitions qualifying keyed stateful suffixes
   /// N ways. 0 (the default) resolves from the `NM_WORKER_THREADS`
   /// environment variable, else 1 — the toggle the TSan CI job uses to
-  /// force every existing test through the concurrent path unchanged.
+  /// force every existing test through the concurrent path unchanged. A
+  /// malformed value makes every `Submit`/`SubmitShared` fail with
+  /// `InvalidArgument`.
   size_t worker_threads = 0;
   /// Logical-plan rewrite configuration; `optimizer.enable = false`
   /// submits plans verbatim (A/B benchmarking, debugging).
@@ -140,9 +147,9 @@ struct EngineOptions {
   /// (combined with the per-link `TopologyLink::fault` profiles along its
   /// route), `faults.retry` configures each channel pair's retransmit
   /// queue, backoff and reorder-repair buffer. The `NM_FAULT_PROFILE`
-  /// environment variable, when set and parseable, overrides
-  /// `faults.profile` at engine construction — the CI fault-injection
-  /// gate's whole-suite switch.
+  /// environment variable, when set, overrides `faults.profile` at engine
+  /// construction — the CI fault-injection gate's whole-suite switch; a
+  /// malformed value makes every submission fail with `InvalidArgument`.
   FaultToleranceOptions faults = {};
 };
 
@@ -272,8 +279,20 @@ class NodeEngine {
   void RunLoop(RunningQuery* rq);
   void SourceLoop(RunningQuery* rq);
 
+  Result<RunningQuery*> Find(int query_id) const;
+  /// Verifies (verify-each) and compiles \p plan into `rq->pipeline`.
+  Status Compile(RunningQuery* rq, const LogicalPlan& plan,
+                 size_t partitions) const;
+  /// The install path `Submit` and `SubmitShared` share: verifies,
+  /// opens and instruments the compiled pipeline, takes the plan's source
+  /// and registers the query.
+  Result<int> Install(std::unique_ptr<RunningQuery> rq, LogicalPlan* plan);
+
   EngineOptions options_;
   size_t worker_threads_ = 1;  ///< resolved from options/env at construction
+  /// A malformed `NM_WORKER_THREADS` / `NM_FAULT_PROFILE` seen at
+  /// construction; every submission fails with it.
+  Status env_status_;
   mutable nebulameos::Mutex mutex_;
   std::map<int, std::unique_ptr<RunningQuery>> queries_ NM_GUARDED_BY(mutex_);
   int next_id_ NM_GUARDED_BY(mutex_) = 1;

@@ -66,12 +66,15 @@ Result<FaultProfile> ParseFaultProfile(const std::string& spec) {
   return profile;
 }
 
-std::optional<FaultProfile> EnvFaultProfile() {
+Result<std::optional<FaultProfile>> EnvFaultProfile() {
   const char* env = std::getenv("NM_FAULT_PROFILE");
-  if (env == nullptr || *env == '\0') return std::nullopt;
+  if (env == nullptr || *env == '\0') return std::optional<FaultProfile>();
   Result<FaultProfile> parsed = ParseFaultProfile(env);
-  if (!parsed.ok()) return std::nullopt;
-  return *parsed;
+  if (!parsed.ok()) {
+    return Status::InvalidArgument("NM_FAULT_PROFILE='" + std::string(env) +
+                                   "': " + parsed.status().message());
+  }
+  return std::optional<FaultProfile>(*parsed);
 }
 
 FaultProfile CombineFaultProfiles(const FaultProfile& a,

@@ -54,10 +54,11 @@ struct FaultProfile {
 /// and rates outside [0, 1] fail with `InvalidArgument`.
 Result<FaultProfile> ParseFaultProfile(const std::string& spec);
 
-/// The `NM_FAULT_PROFILE` environment profile, when set and parseable.
+/// The `NM_FAULT_PROFILE` environment profile, or nullopt when unset.
 /// The CI fault-injection gate uses this to run the whole suite lossy
-/// without touching any test. An unparseable value returns nullopt.
-std::optional<FaultProfile> EnvFaultProfile();
+/// without touching any test. An unparseable value fails with
+/// `InvalidArgument` naming the variable and its value.
+Result<std::optional<FaultProfile>> EnvFaultProfile();
 
 /// Combines two profiles as independent fault sources: each rate becomes
 /// `1 - (1-a)(1-b)`, the disconnect threshold is the smaller non-zero one,

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <string>
 
 #include "common/logging.hpp"
 #include "nebula/engine.hpp"
@@ -278,6 +280,79 @@ TEST(EngineFailures, DoubleStartRejected) {
   ASSERT_TRUE(engine.Start(*id).ok());
   EXPECT_FALSE(engine.Start(*id).ok());
   EXPECT_TRUE(engine.Wait(*id).ok());
+}
+
+
+// Sets an environment variable for one scope and restores the outer value
+// (or its absence) on exit: CI exports both engine variables, so a test
+// overriding one must hand it back unchanged.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* outer = std::getenv(name)) {
+      saved_ = outer;
+      had_outer_ = true;
+    }
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_outer_) {
+      setenv(name_, saved_.c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::string saved_;
+  bool had_outer_ = false;
+};
+
+// A malformed engine environment variable fails every submission with an
+// error naming the variable and its value, instead of silently running
+// with the default.
+void ExpectSubmitRejectsEnv(const char* var, const char* value) {
+  NodeEngine engine;
+  auto sink = std::make_shared<CountingSink>(EventSchema());
+  auto id = engine.Submit(Query::From(SharedNamedSource(10)).To(sink));
+  ASSERT_FALSE(id.ok()) << var << "=" << value;
+  EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(id.status().message().find(var), std::string::npos)
+      << id.status().ToString();
+  EXPECT_NE(id.status().message().find(value), std::string::npos)
+      << id.status().ToString();
+  LogicalPlan prefix;
+  prefix.SetSource(SharedNamedSource(10));
+  auto host = engine.SubmitShared(std::move(prefix));
+  ASSERT_FALSE(host.ok());
+  EXPECT_EQ(host.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EngineFailures, MalformedWorkerThreadsEnvFailsSubmit) {
+  for (const char* bad : {"abc", "4x", "0", "-2", "100000"}) {
+    ScopedEnv env("NM_WORKER_THREADS", bad);
+    ExpectSubmitRejectsEnv("NM_WORKER_THREADS", bad);
+  }
+  // An explicit worker count never consults the variable.
+  ScopedEnv env("NM_WORKER_THREADS", "abc");
+  EngineOptions options;
+  options.worker_threads = 2;
+  NodeEngine engine(options);
+  auto sink = std::make_shared<CountingSink>(EventSchema());
+  auto id = engine.Submit(Query::From(SharedNamedSource(10)).To(sink));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_TRUE(engine.RunToCompletion(*id).ok());
+  EXPECT_EQ(sink->events(), 10u);
+}
+
+TEST(EngineFailures, MalformedFaultProfileEnvFailsSubmit) {
+  for (const char* bad : {"drop=2", "bogus=1", "drop"}) {
+    ScopedEnv env("NM_FAULT_PROFILE", bad);
+    ExpectSubmitRejectsEnv("NM_FAULT_PROFILE", bad);
+  }
 }
 
 }  // namespace

@@ -489,7 +489,12 @@ TEST(MonotonicityGuards, WindowAggShedsLateRecordsInsteadOfRefiring) {
   // out-of-order row at ts=1s lands in that already-fired pane and must
   // be shed, not re-open it.
   std::vector<std::vector<Value>> rows = MakeRows(16);
-  rows.push_back({Value(int64_t{0}), Value(Seconds(1)), Value(99.0)});
+  // Built element-wise: a braced Value list here trips GCC 12's
+  // -Wfree-nonheap-object false positive under -Werror.
+  std::vector<Value>& late = rows.emplace_back();
+  late.emplace_back(int64_t{0});
+  late.emplace_back(Seconds(1));
+  late.emplace_back(99.0);
   auto schema = Schema::Build()
                     .AddInt64("key")
                     .AddTimestamp("window_start")

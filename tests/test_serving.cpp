@@ -11,6 +11,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "nebula/serving/fleet.hpp"
@@ -654,6 +656,133 @@ TEST(FleetDeployment, PerTrainSharingWithSharedUplinkAndMerge) {
   EXPECT_GT(report_a->uplink_bytes, 0u);
   EXPECT_EQ(report_a->wire_bytes, report_b->wire_bytes);
   EXPECT_EQ(report_a->frames, report_b->frames);
+}
+
+
+// --- Branch dispatch parity --------------------------------------------
+//
+// Static fan-out branches and attached serving branches run on one
+// dispatch-target mechanism. The same prefix and suffixes built both ways
+// — a Split(2) plan via Submit, and SubmitShared plus two AttachBranch
+// calls — must give identical rows per leaf and identical metric names
+// once the branch paths are mapped onto each other (0 <-> b1, 1 <-> b2).
+
+struct ParityRun {
+  std::vector<std::vector<Value>> filtered;
+  std::vector<std::vector<Value>> windows;
+  std::set<std::string> metric_names;
+};
+
+// A static-branch metric name under its attached-branch path.
+std::string AsAttachedName(const std::string& name) {
+  static const std::pair<std::string, std::string> kPaths[] = {
+      {"op.0/", "op.b1/"},
+      {"op.1/", "op.b2/"},
+      {"worker.strand.0.", "worker.strand.b1."},
+      {"worker.strand.1.", "worker.strand.b2."}};
+  for (const auto& [from, to] : kPaths) {
+    if (name.rfind(from, 0) == 0) return to + name.substr(from.size());
+  }
+  return name;
+}
+
+void RunBranchParity(bool attached, size_t workers, ParityRun* out) {
+  constexpr int kRows = 400;
+  EngineOptions options;
+  options.worker_threads = workers;
+  options.tuples_per_buffer = 16;
+  // SubmitShared compiles verbatim; the static plan must too for the
+  // operator chains (and so the metric names) to line up.
+  options.optimizer.enable = false;
+  NodeEngine engine(options);
+  auto filtered_sink = std::make_shared<CollectSink>(EventSchema());
+  auto window_sink = std::make_shared<CollectSink>(Schema::Build()
+                                                       .AddInt64("key")
+                                                       .AddTimestamp("window_start")
+                                                       .AddTimestamp("window_end")
+                                                       .AddInt64("n")
+                                                       .Finish());
+  const auto prefix = [] { return Ge(Attribute("value"), Lit(2.0)); };
+  const auto filter_suffix = [] { return Lt(Attribute("value"), Lit(300.0)); };
+  int id = 0;
+  if (!attached) {
+    SplitQuery split =
+        Query::From(NamedSource(kRows)).Filter(prefix()).Split(2);
+    std::move(split[0]).Filter(filter_suffix()).To(filtered_sink);
+    std::move(split[1])
+        .KeyBy("key")
+        .TumblingWindow(Seconds(10), "ts")
+        .Aggregate({AggregateSpec::Count("n")})
+        .To(window_sink);
+    auto plan = std::move(split).Build();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto submitted = engine.Submit(std::move(*plan));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    id = *submitted;
+  } else {
+    // Each leaf as a linear plan; op 0 is the shared prefix filter.
+    auto filtered = Query::From(NamedSource(kRows))
+                        .Filter(prefix())
+                        .Filter(filter_suffix())
+                        .To(filtered_sink)
+                        .Build();
+    auto windowed = Query::From(NamedSource(1))
+                        .Filter(prefix())
+                        .KeyBy("key")
+                        .TumblingWindow(Seconds(10), "ts")
+                        .Aggregate({AggregateSpec::Count("n")})
+                        .To(window_sink)
+                        .Build();
+    ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+    ASSERT_TRUE(windowed.ok()) << windowed.status().ToString();
+    const auto suffix = [](LogicalPlan* plan) {
+      std::vector<LogicalOperatorPtr>& ops = plan->mutable_ops();
+      return std::vector<LogicalOperatorPtr>(
+          std::make_move_iterator(ops.begin() + 1),
+          std::make_move_iterator(ops.end()));
+    };
+    LogicalPlan host_plan;
+    host_plan.SetSource(filtered->TakeSource());
+    host_plan.Append(std::move(filtered->mutable_ops()[0]));
+    auto host = engine.SubmitShared(std::move(host_plan));
+    ASSERT_TRUE(host.ok()) << host.status().ToString();
+    id = *host;
+    auto b1 = engine.AttachBranch(id, suffix(&*filtered));
+    auto b2 = engine.AttachBranch(id, suffix(&*windowed));
+    ASSERT_TRUE(b1.ok()) << b1.status().ToString();
+    ASSERT_TRUE(b2.ok()) << b2.status().ToString();
+    ASSERT_EQ(*b1, 1);
+    ASSERT_EQ(*b2, 2);
+  }
+  ASSERT_TRUE(engine.RunToCompletion(id).ok());
+  out->filtered = Sorted(filtered_sink->Rows());
+  out->windows = Sorted(window_sink->Rows());
+  auto snapshot = engine.Metrics(id);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const auto add = [&](const std::string& name) {
+    out->metric_names.insert(attached ? name : AsAttachedName(name));
+  };
+  for (const auto& entry : snapshot->counters) add(entry.first);
+  for (const auto& entry : snapshot->gauges) add(entry.first);
+  for (const auto& entry : snapshot->histograms) add(entry.first);
+}
+
+TEST(BranchDispatchParity, StaticFanOutMatchesAttachedBranches) {
+  for (const size_t workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ParityRun fanout;
+    ParityRun shared;
+    ASSERT_NO_FATAL_FAILURE(RunBranchParity(false, workers, &fanout));
+    ASSERT_NO_FATAL_FAILURE(RunBranchParity(true, workers, &shared));
+    EXPECT_FALSE(fanout.filtered.empty());
+    EXPECT_FALSE(fanout.windows.empty());
+    EXPECT_EQ(fanout.filtered, shared.filtered);
+    EXPECT_EQ(fanout.windows, shared.windows);
+    EXPECT_EQ(fanout.metric_names, shared.metric_names);
+    EXPECT_EQ(shared.metric_names.count("worker.strand.b1.queue_depth"), 1u);
+    EXPECT_EQ(shared.metric_names.count("worker.strand.b2.task_wait_micros"),
+              1u);
+  }
 }
 
 }  // namespace
