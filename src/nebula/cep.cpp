@@ -90,8 +90,7 @@ CepOperator::KeyValue CepOperator::KeyOf(const RecordView& rec) const {
 }
 
 void CepOperator::EmitMatch(const KeyValue& key, const Run& run,
-                            TupleBuffer* out) const {
-  RecordWriter w = out->Append();
+                            RecordWriter w) const {
   size_t f = 0;
   if (keyed_) {
     if (std::holds_alternative<int64_t>(key)) {
@@ -205,17 +204,10 @@ bool CepOperator::AdvanceRun(Run* run, const RecordView& rec, Timestamp t,
   return true;
 }
 
-Status CepOperator::DoProcess(const exec::Batch& input, const EmitFn& emit) {
+Status CepOperator::ProcessBatch(const exec::Batch& input,
+                                 const EmitFn& emit) {
   CountIn(input);
-  TupleBufferPtr out;
-  auto ensure_out = [&]() {
-    if (!out) out = ctx_->Allocate(output_schema_);
-    if (out->full()) {
-      CountOut(*out);
-      emit(out);
-      out = ctx_->Allocate(output_schema_);
-    }
-  };
+  RowEmitter out(this, emit);
   uint64_t shed = 0;
   for (size_t i = 0; i < input.NumRows(); ++i) {
     const RecordView rec = input.data->At(input.RowAt(i));
@@ -244,8 +236,7 @@ Status CepOperator::DoProcess(const exec::Batch& input, const EmitFn& emit) {
       bool completed = false;
       const bool alive = AdvanceRun(&*it, rec, t, &completed);
       if (completed) {
-        ensure_out();
-        EmitMatch(key, *it, out.get());
+        EmitMatch(key, *it, out.Append());
         it = key_runs.erase(it);
         continue;
       }
@@ -276,14 +267,12 @@ Status CepOperator::DoProcess(const exec::Batch& input, const EmitFn& emit) {
       if (first.one_or_more) {
         run.kleene_matches = 1;
         if (pattern_.steps.size() == 1) {
-          ensure_out();
-          EmitMatch(key, run, out.get());
+          EmitMatch(key, run, out.Append());
         } else {
           key_runs.push_back(std::move(run));
         }
       } else if (pattern_.steps.size() == 1) {
-        ensure_out();
-        EmitMatch(key, run, out.get());
+        EmitMatch(key, run, out.Append());
       } else {
         run.step = 1;
         key_runs.push_back(std::move(run));
@@ -291,24 +280,8 @@ Status CepOperator::DoProcess(const exec::Batch& input, const EmitFn& emit) {
     }
   }
   if (shed > 0) CountShed(shed);
-  if (out && !out->empty()) {
-    CountOut(*out);
-    emit(out);
-  }
+  out.Flush();
   return Status::OK();
-}
-
-Status CepOperator::Process(const TupleBufferPtr& input, const EmitFn& emit) {
-  return DoProcess(exec::Batch(input), emit);
-}
-
-Status CepOperator::ProcessBatch(const exec::Batch& input,
-                                 const BatchEmitFn& emit) {
-  auto forward = [&emit](const TupleBufferPtr& out) {
-    out->Seal();
-    emit(exec::Batch(out));
-  };
-  return DoProcess(input, forward);
 }
 
 size_t CepOperator::ActiveRuns() const {

@@ -97,12 +97,7 @@ class CepOperator : public Operator {
 
   std::string name() const override { return "CEP"; }
   const Schema& output_schema() const override { return output_schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
-  /// Selection-aware: feeds selected rows straight through the NFA —
-  /// a hash-partitioned CEP input (engine worker strands) draws no extra
-  /// pool buffers for materialization.
-  Status ProcessBatch(const exec::Batch& input,
-                      const BatchEmitFn& emit) override;
+  Status ProcessBatch(const exec::Batch& input, const EmitFn& emit) override;
   void BindMetrics(metrics::MetricsRegistry* registry,
                    const std::string& prefix) override {
     Operator::BindMetrics(registry, prefix);
@@ -149,9 +144,8 @@ class CepOperator : public Operator {
 
   CepOperator() = default;
 
-  Status DoProcess(const exec::Batch& input, const EmitFn& emit);
   KeyValue KeyOf(const RecordView& rec) const;
-  void EmitMatch(const KeyValue& key, const Run& run, TupleBuffer* out) const;
+  void EmitMatch(const KeyValue& key, const Run& run, RecordWriter w) const;
   // Advances `run` with event `rec` at time `t`; returns true when the run
   // survives (possibly completed — flagged via *completed).
   bool AdvanceRun(Run* run, const RecordView& rec, Timestamp t,

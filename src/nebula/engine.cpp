@@ -507,9 +507,9 @@ struct NodeEngine::RunningQuery {
   // internally instead and leave the base histograms unbound, so the
   // outer RecordProcess no-ops for them.
   Status PushThrough(Target* t, size_t from, const exec::Batch& batch) {
-    if (verify_batches && from == 0) {
-      NM_RETURN_NOT_OK(analysis::VerifyBatch(batch));
-    }
+    // Verify-each checks every batch entering an operator or the tail, so
+    // an operator that emits an unsealed buffer fails at its own output.
+    if (verify_batches) NM_RETURN_NOT_OK(analysis::VerifyBatch(batch));
     if (from >= t->seg->operators.size()) {
       return DispatchTail(t, batch);
     }
@@ -547,9 +547,8 @@ struct NodeEngine::RunningQuery {
   Status FinishSegment(Target* t) {
     for (size_t i = 0; i < t->seg->operators.size(); ++i) {
       Status inner = Status::OK();
-      auto forward = [this, t, i, &inner](const TupleBufferPtr& out) {
-        out->Seal();
-        Status st = PushThrough(t, i + 1, exec::Batch(out));
+      auto forward = [this, t, i, &inner](const exec::Batch& out) {
+        Status st = PushThrough(t, i + 1, out);
         if (!st.ok() && inner.ok()) inner = st;
       };
       Status s = t->seg->operators[i]->Finish(forward);

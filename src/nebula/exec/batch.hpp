@@ -9,10 +9,11 @@
 /// immutable-after-seal buffer contract (tuple_buffer.hpp) is what makes
 /// that sharing safe without copies.
 ///
-/// Selection-aware operators consume batches natively; legacy operators
-/// fall back to `Operator::ProcessBatch`'s default, which materializes a
-/// partial selection into a pooled buffer first (one gather, the same cost
-/// the old copy-per-operator path paid on every hop).
+/// Every operator consumes batches natively (`Operator::ProcessBatch`):
+/// it reads the selected rows through `RowAt`, refines the selection, or
+/// writes fresh rows into a new buffer that it seals before emitting.
+/// No operator ever sees an unsealed buffer or gathers a selection just
+/// to hand it on.
 
 #pragma once
 
@@ -82,11 +83,5 @@ inline Batch TakePartialSelection(SelectionVector* scratch, const Batch& in) {
 Result<TupleBufferPtr> AllocateOutputFor(const Batch& batch,
                                          const Schema& out_schema,
                                          ExecutionContext* ctx);
-
-/// Gathers \p batch's selected rows into a fresh pooled buffer of the same
-/// schema (metadata copied, buffer sealed) — the bridge legacy operators
-/// pay when a partial selection reaches them.
-Result<TupleBufferPtr> MaterializeBatch(const Batch& batch,
-                                        ExecutionContext* ctx);
 
 }  // namespace nebulameos::nebula::exec

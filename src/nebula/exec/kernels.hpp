@@ -125,8 +125,7 @@ class BatchKernelOperator final : public Operator {
   std::string name() const override;
   const Schema& output_schema() const override { return output_schema_; }
 
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
-  Status ProcessBatch(const Batch& input, const BatchEmitFn& emit) override;
+  Status ProcessBatch(const Batch& input, const EmitFn& emit) override;
   void AppendStats(
       const std::string& prefix,
       std::vector<std::pair<std::string, OperatorStats>>* out) const override;

@@ -94,13 +94,15 @@ TemporalLookupJoinOperator::FindNearest(int64_t key, Timestamp ts) const {
   return best;
 }
 
-Status TemporalLookupJoinOperator::Process(const TupleBufferPtr& input,
-                                           const EmitFn& emit) {
-  CountIn(*input);
-  TupleBufferPtr out;  // allocated on the first match only
+Status TemporalLookupJoinOperator::ProcessBatch(const exec::Batch& input,
+                                                const EmitFn& emit) {
+  CountIn(input);
+  // Output buffers carry the input's watermark and sequence number; the
+  // first match allocates, so a batch without matches emits nothing.
+  RowEmitter out(this, emit, input.data.get());
   const size_t left_fields = input_schema_.num_fields();
-  for (size_t i = 0; i < input->size(); ++i) {
-    const RecordView rec = input->At(i);
+  for (size_t i = 0; i < input.NumRows(); ++i) {
+    const RecordView rec = input.data->At(input.RowAt(i));
     const RightRow* match =
         FindNearest(rec.GetInt64(left_key_index_),
                     rec.GetInt64(left_time_index_));
@@ -108,18 +110,7 @@ Status TemporalLookupJoinOperator::Process(const TupleBufferPtr& input,
       ++unmatched_;
       continue;
     }
-    if (!out) {
-      out = ctx_->Allocate(output_schema_);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
-    } else if (out->full()) {
-      CountOut(*out);
-      emit(out);
-      out = ctx_->Allocate(output_schema_);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
-    }
-    RecordWriter w = out->Append();
+    RecordWriter w = out.Append();
     // Left fields verbatim, then right payload.
     std::memcpy(w.data(), rec.data(), input_schema_.record_size());
     const RecordView right(&right_schema_, match->bytes.data());
@@ -144,12 +135,7 @@ Status TemporalLookupJoinOperator::Process(const TupleBufferPtr& input,
       }
     }
   }
-  // No matches → no emit: a watermark-only advance must not draw a pooled
-  // buffer (windows fire on event times, not buffer watermarks).
-  if (out) {
-    CountOut(*out);
-    emit(out);
-  }
+  out.Flush();
   return Status::OK();
 }
 

@@ -2,10 +2,16 @@
 /// \brief The physical operator interface and execution context.
 ///
 /// Queries compile into chains of `Operator`s executed inside one pipeline
-/// (operator fusion: a buffer flows through the whole chain without
+/// (operator fusion: a batch flows through the whole chain without
 /// queueing, as in NebulaStream's compiled pipelines). Operators are
 /// constructed with their *input schema* — expression binding happens at
 /// build time, so malformed queries fail at submission, not mid-stream.
+///
+/// One contract: batches in, sealed batches out. `ProcessBatch` receives
+/// an `exec::Batch` (a sealed buffer plus an optional selection vector)
+/// and hands every result to its `EmitFn` as a batch over a sealed
+/// buffer; `Finish` flushes end-of-stream state the same way. Operators
+/// that write fresh rows build them through `RowEmitter`, which seals.
 ///
 /// `ExecutionContext` provides pooled buffer allocation (one
 /// `BufferManager` per distinct output schema) and is shared by all
@@ -17,6 +23,7 @@
 #include <map>
 
 #include "common/function_ref.hpp"
+#include "common/mutex.hpp"
 #include "nebula/buffer_manager.hpp"
 #include "nebula/exec/batch.hpp"
 #include "nebula/expr.hpp"
@@ -135,23 +142,22 @@ class ExecutionContext {
  private:
   size_t tuples_per_buffer_;
   size_t pool_size_;
-  mutable std::mutex mutex_;
-  std::map<std::string, std::shared_ptr<BufferManager>> pools_;
+  mutable Mutex mutex_;
+  std::map<std::string, std::shared_ptr<BufferManager>> pools_
+      NM_GUARDED_BY(mutex_);
 };
 
 /// \brief Base class of all physical operators.
 class Operator {
  public:
-  /// Downstream hand-off: the operator calls this for each output buffer.
-  /// A non-owning `FunctionRef` (not `std::function`): the emit callable
-  /// lives on the caller's stack for the duration of `Process`, and the
-  /// compiled pipeline's inner loop crosses this hop once per buffer per
-  /// operator — it must not pay a type-erased copy each time.
-  using EmitFn = FunctionRef<void(const TupleBufferPtr&)>;
-
-  /// Batch-path hand-off: output batches may share the input buffer with
-  /// a selection vector (zero-copy).
-  using BatchEmitFn = FunctionRef<void(const exec::Batch&)>;
+  /// Downstream hand-off: the operator calls this for each output batch,
+  /// whose buffer is sealed (it may be the input buffer with a refined
+  /// selection — zero-copy). A non-owning `FunctionRef` (not
+  /// `std::function`): the emit callable lives on the caller's stack for
+  /// the duration of the call, and the compiled pipeline's inner loop
+  /// crosses this hop once per batch per operator — it must not pay a
+  /// type-erased copy each time.
+  using EmitFn = FunctionRef<void(const exec::Batch&)>;
 
   virtual ~Operator() = default;
 
@@ -167,17 +173,12 @@ class Operator {
     return Status::OK();
   }
 
-  /// Processes one input buffer, emitting zero or more output buffers.
-  virtual Status Process(const TupleBufferPtr& input, const EmitFn& emit) = 0;
-
-  /// Batch-at-a-time path driven by the engine: \p input may carry a
-  /// selection vector over a shared, sealed buffer. The default bridges to
-  /// `Process` — a partial selection is first materialized into a pooled
-  /// buffer (one gather), a full batch passes its buffer straight through.
-  /// Selection-aware operators (filters, compiled kernel runs, sinks)
-  /// override this to consume or refine the selection without the copy.
+  /// Processes one input batch, emitting zero or more sealed batches.
+  /// \p input may carry a selection vector over a shared, sealed buffer:
+  /// operators read the selected rows (`input.RowAt(i)`) or refine the
+  /// selection, and never write to the input buffer.
   virtual Status ProcessBatch(const exec::Batch& input,
-                              const BatchEmitFn& emit);
+                              const EmitFn& emit) = 0;
 
   /// End-of-stream: flush any remaining state (window panes, open runs).
   virtual Status Finish(const EmitFn& /*emit*/) { return Status::OK(); }
@@ -226,25 +227,61 @@ class Operator {
   }
 
  protected:
-  /// Records an input buffer in the stats.
-  void CountIn(const TupleBuffer& buf) {
-    stats_.AddIn(buf.size(), buf.SizeBytes());
-  }
-
   /// Records an input batch (selected rows only) in the stats.
   void CountIn(const exec::Batch& batch) {
     stats_.AddIn(batch.NumRows(), batch.SizeBytes());
-  }
-
-  /// Records an output buffer in the stats.
-  void CountOut(const TupleBuffer& buf) {
-    stats_.AddOut(buf.size(), buf.SizeBytes());
   }
 
   /// Records an output batch (selected rows only) in the stats.
   void CountOut(const exec::Batch& batch) {
     stats_.AddOut(batch.NumRows(), batch.SizeBytes());
   }
+
+  /// Seals \p buffer, counts it out and emits it as a full batch.
+  void EmitSealed(TupleBufferPtr buffer, const EmitFn& emit) {
+    buffer->Seal();
+    const exec::Batch out(std::move(buffer));
+    CountOut(out);
+    emit(out);
+  }
+
+  /// \brief Writes fresh output rows into pooled buffers of
+  /// `output_schema()` and emits each buffer through `EmitSealed`: the
+  /// first `Append` allocates, a full buffer rolls over, `Flush` emits a
+  /// non-empty tail. Each buffer takes its watermark and sequence number
+  /// from \p stamp when one is given (row-preserving operators such as
+  /// the lookup join); results without a source buffer (window panes,
+  /// matches) keep the pool's reset metadata.
+  class RowEmitter {
+   public:
+    RowEmitter(Operator* op, const EmitFn& emit,
+               const TupleBuffer* stamp = nullptr)
+        : op_(op), emit_(emit), stamp_(stamp) {}
+
+    /// Writer for the next output row.
+    RecordWriter Append() {
+      if (out_ == nullptr || out_->full()) {
+        if (out_ != nullptr) op_->EmitSealed(std::move(out_), emit_);
+        out_ = op_->ctx_->Allocate(op_->output_schema());
+        if (stamp_ != nullptr) {
+          out_->set_watermark(stamp_->watermark());
+          out_->set_sequence_number(stamp_->sequence_number());
+        }
+      }
+      return out_->Append();
+    }
+
+    /// Emits the partly filled tail, if any.
+    void Flush() {
+      if (out_ != nullptr) op_->EmitSealed(std::move(out_), emit_);
+    }
+
+   private:
+    Operator* op_;
+    EmitFn emit_;
+    const TupleBuffer* stamp_;
+    TupleBufferPtr out_;
+  };
 
   /// Records \p events records shed by a monotonicity guard or
   /// degradation policy, mirroring into the `late_shed` instrument when

@@ -10,7 +10,7 @@ namespace nebulameos::nebula {
 TupleBufferPtr ExecutionContext::Allocate(const Schema& schema) {
   std::shared_ptr<BufferManager> pool;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    MutexLock lock(mutex_);
     auto& slot = pools_[schema.ToString()];
     if (!slot) {
       slot = BufferManager::Create(schema, tuples_per_buffer_, pool_size_);
@@ -21,24 +21,24 @@ TupleBufferPtr ExecutionContext::Allocate(const Schema& schema) {
 }
 
 uint64_t ExecutionContext::TotalBuffersAcquired() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  MutexLock lock(mutex_);
   uint64_t total = 0;
   for (const auto& [key, pool] : pools_) total += pool->total_acquired();
   return total;
 }
 
-// --- Operator batch bridge ----------------------------------------------------
+// --- Shared materialization ---------------------------------------------------
 
 namespace {
 
 // Shared interpreted-materialization loop of MapOperator::ProcessBatch and
-// ProjectOperator::ProcessBatch: allocate one output buffer, write one
-// record per selected row, seal. `write` receives (input record, writer).
+// ProjectOperator::ProcessBatch: allocate one output buffer and write one
+// record per selected row. `write` receives (input record, writer).
 template <typename WriteFn>
-Result<exec::Batch> MaterializeRows(ExecutionContext* ctx,
-                                    const Schema& out_schema,
-                                    const exec::Batch& input,
-                                    const WriteFn& write) {
+Result<TupleBufferPtr> MaterializeRows(ExecutionContext* ctx,
+                                       const Schema& out_schema,
+                                       const exec::Batch& input,
+                                       const WriteFn& write) {
   NM_ASSIGN_OR_RETURN(TupleBufferPtr out,
                       exec::AllocateOutputFor(input, out_schema, ctx));
   for (size_t i = 0; i < input.NumRows(); ++i) {
@@ -46,26 +46,10 @@ Result<exec::Batch> MaterializeRows(ExecutionContext* ctx,
     RecordWriter w = out->Append();
     write(rec, &w);
   }
-  out->Seal();
-  return exec::Batch(std::move(out));
+  return out;
 }
 
 }  // namespace
-
-Status Operator::ProcessBatch(const exec::Batch& input,
-                              const BatchEmitFn& emit) {
-  TupleBufferPtr buf = input.data;
-  if (!input.IsFull()) {
-    // Legacy operator fed a partial selection: one gather, then the
-    // record-at-a-time path runs unchanged.
-    NM_ASSIGN_OR_RETURN(buf, exec::MaterializeBatch(input, ctx_));
-  }
-  auto forward = [&emit](const TupleBufferPtr& out) {
-    out->Seal();
-    emit(exec::Batch(out));
-  };
-  return Process(buf, forward);
-}
 
 // --- Filter -------------------------------------------------------------------
 
@@ -82,38 +66,8 @@ Result<OperatorPtr> FilterOperator::Make(const Schema& input,
       new FilterOperator(input, std::move(predicate), std::move(cse.cache)));
 }
 
-Status FilterOperator::Process(const TupleBufferPtr& input,
-                               const EmitFn& emit) {
-  CountIn(*input);
-  TupleBufferPtr out;  // allocated on the first survivor only
-  for (size_t i = 0; i < input->size(); ++i) {
-    const RecordView rec = input->At(i);
-    if (cse_cache_) cse_cache_->BeginRecord();
-    if (!ValueAsBool(predicate_->Eval(rec))) continue;
-    if (!out) {
-      out = ctx_->Allocate(schema_);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
-    } else if (out->full()) {
-      CountOut(*out);
-      emit(out);
-      out = ctx_->Allocate(schema_);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
-    }
-    out->Append().CopyFrom(rec);
-  }
-  // No survivors → no emit: watermark-only advance must not draw a pooled
-  // buffer (windows fire on event times, not buffer watermarks).
-  if (out) {
-    CountOut(*out);
-    emit(out);
-  }
-  return Status::OK();
-}
-
 Status FilterOperator::ProcessBatch(const exec::Batch& input,
-                                    const BatchEmitFn& emit) {
+                                    const EmitFn& emit) {
   CountIn(input);
   const size_t n = input.NumRows();
   if (n == 0) return Status::OK();
@@ -243,46 +197,19 @@ void MapOperator::WriteRecord(const RecordView& rec, RecordWriter* w) const {
   }
 }
 
-Status MapOperator::Process(const TupleBufferPtr& input, const EmitFn& emit) {
-  CountIn(*input);
-  TupleBufferPtr out;  // allocated on the first record only
-  for (size_t i = 0; i < input->size(); ++i) {
-    const RecordView rec = input->At(i);
-    if (!out) {
-      out = ctx_->Allocate(layout_.output_schema);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
-    } else if (out->full()) {
-      CountOut(*out);
-      emit(out);
-      out = ctx_->Allocate(layout_.output_schema);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
-    }
-    RecordWriter w = out->Append();
-    WriteRecord(rec, &w);
-  }
-  if (out) {
-    CountOut(*out);
-    emit(out);
-  }
-  return Status::OK();
-}
-
 Status MapOperator::ProcessBatch(const exec::Batch& input,
-                                 const BatchEmitFn& emit) {
+                                 const EmitFn& emit) {
   CountIn(input);
   if (input.NumRows() == 0) return Status::OK();
   // Interpreted map over the selection: computes only surviving rows, no
   // intermediate materialization of the input.
   NM_ASSIGN_OR_RETURN(
-      exec::Batch result,
+      TupleBufferPtr out,
       MaterializeRows(ctx_, layout_.output_schema, input,
                       [this](const RecordView& rec, RecordWriter* w) {
                         WriteRecord(rec, w);
                       }));
-  CountOut(result);
-  emit(result);
+  EmitSealed(std::move(out), emit);
   return Status::OK();
 }
 
@@ -325,45 +252,17 @@ void ProjectOperator::WriteRecord(const RecordView& rec,
   }
 }
 
-Status ProjectOperator::Process(const TupleBufferPtr& input,
-                                const EmitFn& emit) {
-  CountIn(*input);
-  TupleBufferPtr out;  // allocated on the first record only
-  for (size_t i = 0; i < input->size(); ++i) {
-    const RecordView rec = input->At(i);
-    if (!out) {
-      out = ctx_->Allocate(output_schema_);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
-    } else if (out->full()) {
-      CountOut(*out);
-      emit(out);
-      out = ctx_->Allocate(output_schema_);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
-    }
-    RecordWriter w = out->Append();
-    WriteRecord(rec, &w);
-  }
-  if (out) {
-    CountOut(*out);
-    emit(out);
-  }
-  return Status::OK();
-}
-
 Status ProjectOperator::ProcessBatch(const exec::Batch& input,
-                                     const BatchEmitFn& emit) {
+                                     const EmitFn& emit) {
   CountIn(input);
   if (input.NumRows() == 0) return Status::OK();
   NM_ASSIGN_OR_RETURN(
-      exec::Batch result,
+      TupleBufferPtr out,
       MaterializeRows(ctx_, output_schema_, input,
                       [this](const RecordView& rec, RecordWriter* w) {
                         WriteRecord(rec, w);
                       }));
-  CountOut(result);
-  emit(result);
+  EmitSealed(std::move(out), emit);
   return Status::OK();
 }
 
@@ -487,8 +386,7 @@ WindowAggOperator::KeyValue WindowAggOperator::KeyOf(
 }
 
 void WindowAggOperator::WritePane(const PaneKey& key, Pane& pane,
-                                  TupleBuffer* out) const {
-  RecordWriter w = out->Append();
+                                  RecordWriter w) const {
   size_t f = 0;
   if (keyed_) {
     WriteKey(&w, f, key_type_, key.second);
@@ -513,7 +411,7 @@ void WindowAggOperator::WritePane(const PaneKey& key, Pane& pane,
 
 Status WindowAggOperator::FireUpTo(Timestamp watermark, const EmitFn& emit) {
   fired_through_ = std::max(fired_through_, watermark);
-  TupleBufferPtr out;
+  RowEmitter out(this, emit);
   auto it = panes_.begin();
   while (it != panes_.end()) {
     const Timestamp window_end = it->first.first + assigner_.size();
@@ -524,24 +422,15 @@ Status WindowAggOperator::FireUpTo(Timestamp watermark, const EmitFn& emit) {
       ++it;
       continue;
     }
-    if (!out) out = ctx_->Allocate(output_schema_);
-    if (out->full()) {
-      CountOut(*out);
-      emit(out);
-      out = ctx_->Allocate(output_schema_);
-    }
-    WritePane(it->first, it->second, out.get());
+    WritePane(it->first, it->second, out.Append());
     it = panes_.erase(it);
   }
-  if (out && !out->empty()) {
-    CountOut(*out);
-    emit(out);
-  }
+  out.Flush();
   return Status::OK();
 }
 
-Status WindowAggOperator::DoProcess(const exec::Batch& input,
-                                    const EmitFn& emit) {
+Status WindowAggOperator::ProcessBatch(const exec::Batch& input,
+                                       const EmitFn& emit) {
   CountIn(input);
   uint64_t shed = 0;
   for (size_t i = 0; i < input.NumRows(); ++i) {
@@ -572,20 +461,6 @@ Status WindowAggOperator::DoProcess(const exec::Batch& input,
     return FireUpTo(max_event_time_ - options_.allowed_lateness, emit);
   }
   return Status::OK();
-}
-
-Status WindowAggOperator::Process(const TupleBufferPtr& input,
-                                  const EmitFn& emit) {
-  return DoProcess(exec::Batch(input), emit);
-}
-
-Status WindowAggOperator::ProcessBatch(const exec::Batch& input,
-                                       const BatchEmitFn& emit) {
-  auto forward = [&emit](const TupleBufferPtr& out) {
-    out->Seal();
-    emit(exec::Batch(out));
-  };
-  return DoProcess(input, forward);
 }
 
 Status WindowAggOperator::Finish(const EmitFn& emit) {
@@ -641,8 +516,7 @@ ThresholdWindowOperator::OpenWindow ThresholdWindowOperator::MakeWindow(
 }
 
 void ThresholdWindowOperator::CloseInto(const KeyValue& key, OpenWindow& win,
-                                        TupleBuffer* out) const {
-  RecordWriter w = out->Append();
+                                        RecordWriter w) const {
   size_t f = 0;
   if (keyed_) {
     WriteKey(&w, f, key_type_, key);
@@ -665,10 +539,10 @@ void ThresholdWindowOperator::CloseInto(const KeyValue& key, OpenWindow& win,
   }
 }
 
-Status ThresholdWindowOperator::DoProcess(const exec::Batch& input,
-                                          const EmitFn& emit) {
+Status ThresholdWindowOperator::ProcessBatch(const exec::Batch& input,
+                                             const EmitFn& emit) {
   CountIn(input);
-  TupleBufferPtr out;
+  RowEmitter out(this, emit);
   uint64_t shed = 0;
   for (size_t i = 0; i < input.NumRows(); ++i) {
     const RecordView rec = input.data->At(input.RowAt(i));
@@ -703,13 +577,7 @@ Status ThresholdWindowOperator::DoProcess(const exec::Batch& input,
     } else if (it != open_.end()) {
       // Close the window; emit when long enough.
       if (it->second.last - it->second.start >= options_.min_duration) {
-        if (!out) out = ctx_->Allocate(output_schema_);
-        if (out->full()) {
-          CountOut(*out);
-          emit(out);
-          out = ctx_->Allocate(output_schema_);
-        }
-        CloseInto(it->first, it->second, out.get());
+        CloseInto(it->first, it->second, out.Append());
       }
       auto [closed, inserted] =
           closed_through_.try_emplace(it->first, it->second.last);
@@ -718,44 +586,18 @@ Status ThresholdWindowOperator::DoProcess(const exec::Batch& input,
     }
   }
   if (shed > 0) CountShed(shed);
-  if (out && !out->empty()) {
-    CountOut(*out);
-    emit(out);
-  }
+  out.Flush();
   return Status::OK();
 }
 
-Status ThresholdWindowOperator::Process(const TupleBufferPtr& input,
-                                        const EmitFn& emit) {
-  return DoProcess(exec::Batch(input), emit);
-}
-
-Status ThresholdWindowOperator::ProcessBatch(const exec::Batch& input,
-                                             const BatchEmitFn& emit) {
-  auto forward = [&emit](const TupleBufferPtr& out) {
-    out->Seal();
-    emit(exec::Batch(out));
-  };
-  return DoProcess(input, forward);
-}
-
 Status ThresholdWindowOperator::Finish(const EmitFn& emit) {
-  TupleBufferPtr out;
+  RowEmitter out(this, emit);
   for (auto& [key, win] : open_) {
     if (win.last - win.start < options_.min_duration) continue;
-    if (!out) out = ctx_->Allocate(output_schema_);
-    if (out->full()) {
-      CountOut(*out);
-      emit(out);
-      out = ctx_->Allocate(output_schema_);
-    }
-    CloseInto(key, win, out.get());
+    CloseInto(key, win, out.Append());
   }
   open_.clear();
-  if (out && !out->empty()) {
-    CountOut(*out);
-    emit(out);
-  }
+  out.Flush();
   return Status::OK();
 }
 
@@ -766,22 +608,29 @@ namespace {
 // Wire frame layout: [record_count u64][buffer_seq u64][watermark i64]
 // [channel_seq u64] then `record_count * record_size` raw record bytes
 // (see `kWireFrameHeaderBytes`). Records are fixed-size (text fields
-// NUL-padded), so the payload is a straight memcpy of the buffer's record
-// region.
-std::vector<uint8_t> SerializeFrame(const TupleBuffer& buffer,
+// NUL-padded), so the payload of a full batch is one memcpy of the
+// buffer's record region; a partial selection copies one record per row.
+std::vector<uint8_t> SerializeFrame(const exec::Batch& batch,
                                     uint64_t channel_seq) {
-  const size_t payload = buffer.SizeBytes();
-  std::vector<uint8_t> frame(kWireFrameHeaderBytes + payload);
-  const uint64_t count = buffer.size();
+  const TupleBuffer& buffer = *batch.data;
+  const uint64_t count = batch.NumRows();
+  const size_t record_size = buffer.schema().record_size();
+  std::vector<uint8_t> frame(kWireFrameHeaderBytes + batch.SizeBytes());
   const uint64_t buffer_seq = buffer.sequence_number();
   const int64_t watermark = buffer.watermark();
   std::memcpy(frame.data(), &count, sizeof(count));
   std::memcpy(frame.data() + 8, &buffer_seq, sizeof(buffer_seq));
   std::memcpy(frame.data() + 16, &watermark, sizeof(watermark));
   std::memcpy(frame.data() + 24, &channel_seq, sizeof(channel_seq));
-  if (payload > 0) {
-    std::memcpy(frame.data() + kWireFrameHeaderBytes, buffer.At(0).data(),
-                payload);
+  uint8_t* payload = frame.data() + kWireFrameHeaderBytes;
+  if (count == 0) return frame;
+  if (batch.IsFull()) {
+    std::memcpy(payload, buffer.At(0).data(), batch.SizeBytes());
+    return frame;
+  }
+  for (size_t i = 0; i < count; ++i) {
+    std::memcpy(payload + i * record_size, buffer.At(batch.RowAt(i)).data(),
+                record_size);
   }
   return frame;
 }
@@ -796,17 +645,17 @@ Result<OperatorPtr> NetworkChannelSink::Make(
   return OperatorPtr(new NetworkChannelSink(input, std::move(channel)));
 }
 
-Status NetworkChannelSink::Process(const TupleBufferPtr& input,
-                                   const EmitFn& emit) {
-  CountIn(*input);
-  std::vector<uint8_t> frame = SerializeFrame(*input, next_seq_);
+Status NetworkChannelSink::ProcessBatch(const exec::Batch& input,
+                                        const EmitFn& emit) {
+  CountIn(input);
+  std::vector<uint8_t> frame = SerializeFrame(input, next_seq_);
   const uint64_t wire = frame.size();
-  channel_->Send(next_seq_, std::move(frame), input->SizeBytes(),
-                 input->size());
+  channel_->Send(next_seq_, std::move(frame), input.SizeBytes(),
+                 input.NumRows());
   ++next_seq_;
-  // Wire-byte accounting (CountOut would count the unserialized buffer).
-  stats_.AddOut(input->size(), wire);
-  // The emitted buffer only drives the paired NetworkChannelSource, which
+  // Wire-byte accounting (CountOut would count the unserialized rows).
+  stats_.AddOut(input.NumRows(), wire);
+  // The emitted batch only drives the paired NetworkChannelSource, which
   // reads the serialized frame from the channel instead.
   emit(input);
   return Status::OK();
@@ -875,8 +724,7 @@ Status NetworkChannelSource::EmitFrame(const PendingFrame& pending,
         std::min<uint64_t>(pending.count - emitted, out->capacity());
     out->AppendRecords(payload + emitted * record_size, chunk);
     emitted += chunk;
-    CountOut(*out);
-    emit(out);
+    EmitSealed(std::move(out), emit);
   } while (emitted < pending.count);
   return Status::OK();
 }
@@ -919,9 +767,10 @@ Status NetworkChannelSource::Drain(const EmitFn& emit, bool at_end) {
   }
 }
 
-Status NetworkChannelSource::Process(const TupleBufferPtr& input,
-                                     const EmitFn& emit) {
-  (void)input;  // scheduling hand-off only; data arrives via the channel
+Status NetworkChannelSource::ProcessBatch(const exec::Batch& /*input*/,
+                                          const EmitFn& emit) {
+  // The input is the scheduling hand-off only; data arrives via the
+  // channel.
   return Drain(emit, /*at_end=*/false);
 }
 
@@ -934,30 +783,23 @@ Status NetworkChannelSource::Finish(const EmitFn& emit) {
 
 // --- Sinks -------------------------------------------------------------------
 
-Status SinkOperator::Process(const TupleBufferPtr& input, const EmitFn&) {
-  const exec::Batch batch(input);
-  CountIn(batch);
-  return Consume(batch);
-}
-
-Status SinkOperator::ProcessBatch(const exec::Batch& input,
-                                  const BatchEmitFn&) {
+Status SinkOperator::ProcessBatch(const exec::Batch& input, const EmitFn&) {
   CountIn(input);
   return Consume(input);
 }
 
 std::vector<std::vector<Value>> CollectSink::Rows() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  MutexLock lock(mutex_);
   return rows_;
 }
 
 size_t CollectSink::RowCount() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  MutexLock lock(mutex_);
   return rows_.size();
 }
 
 Status CollectSink::Consume(const exec::Batch& batch) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  MutexLock lock(mutex_);
   for (size_t i = 0; i < batch.NumRows(); ++i) {
     if (rows_.size() >= max_rows_) {
       return Status::ResourceExhausted("collect sink row cap reached");
@@ -1016,7 +858,7 @@ CsvSink::~CsvSink() {
 }
 
 Status CsvSink::Consume(const exec::Batch& batch) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  MutexLock lock(mutex_);
   std::string line;
   for (size_t i = 0; i < batch.NumRows(); ++i) {
     const RecordView rec = batch.data->At(batch.RowAt(i));

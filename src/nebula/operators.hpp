@@ -4,13 +4,16 @@
 ///
 /// Every operator is built through a fallible `Make` that receives the
 /// *input schema*, binds its expressions, and derives the output schema.
+/// All of them follow the one contract of operator.hpp: `ProcessBatch`
+/// reads the input batch through its selection vector, and every emitted
+/// batch sits on a sealed buffer — the filter refines the selection of
+/// its input, the others write fresh rows and seal them.
 
 #pragma once
 
 #include <atomic>
 #include <cstdio>
 #include <limits>
-#include <mutex>
 
 #include "nebula/operator.hpp"
 #include "nebula/topology.hpp"
@@ -31,9 +34,7 @@ class FilterOperator : public Operator {
 
   std::string name() const override { return "Filter"; }
   const Schema& output_schema() const override { return schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
-  Status ProcessBatch(const exec::Batch& input,
-                      const BatchEmitFn& emit) override;
+  Status ProcessBatch(const exec::Batch& input, const EmitFn& emit) override;
 
  private:
   FilterOperator(Schema schema, ExprPtr predicate,
@@ -86,9 +87,7 @@ class MapOperator : public Operator {
   const Schema& output_schema() const override {
     return layout_.output_schema;
   }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
-  Status ProcessBatch(const exec::Batch& input,
-                      const BatchEmitFn& emit) override;
+  Status ProcessBatch(const exec::Batch& input, const EmitFn& emit) override;
 
  private:
   MapOperator() = default;
@@ -114,9 +113,7 @@ class ProjectOperator : public Operator {
 
   std::string name() const override { return "Project"; }
   const Schema& output_schema() const override { return output_schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
-  Status ProcessBatch(const exec::Batch& input,
-                      const BatchEmitFn& emit) override;
+  Status ProcessBatch(const exec::Batch& input, const EmitFn& emit) override;
 
  private:
   ProjectOperator() = default;
@@ -159,12 +156,7 @@ class WindowAggOperator : public Operator {
 
   std::string name() const override { return "WindowAgg"; }
   const Schema& output_schema() const override { return output_schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
-  /// Selection-aware: reads selected rows through the selection vector
-  /// instead of materializing the partial batch first — a hash-partitioned
-  /// window input (engine worker strands) draws no extra pool buffers.
-  Status ProcessBatch(const exec::Batch& input,
-                      const BatchEmitFn& emit) override;
+  Status ProcessBatch(const exec::Batch& input, const EmitFn& emit) override;
   Status Finish(const EmitFn& emit) override;
   void BindMetrics(metrics::MetricsRegistry* registry,
                    const std::string& prefix) override {
@@ -182,10 +174,9 @@ class WindowAggOperator : public Operator {
 
   WindowAggOperator() = default;
 
-  Status DoProcess(const exec::Batch& input, const EmitFn& emit);
   Pane MakePane() const;
   KeyValue KeyOf(const RecordView& rec) const;
-  void WritePane(const PaneKey& key, Pane& pane, TupleBuffer* out) const;
+  void WritePane(const PaneKey& key, Pane& pane, RecordWriter w) const;
   Status FireUpTo(Timestamp watermark, const EmitFn& emit);
 
   Schema input_schema_;
@@ -230,10 +221,7 @@ class ThresholdWindowOperator : public Operator {
 
   std::string name() const override { return "ThresholdWindow"; }
   const Schema& output_schema() const override { return output_schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
-  /// Selection-aware (see `WindowAggOperator::ProcessBatch`).
-  Status ProcessBatch(const exec::Batch& input,
-                      const BatchEmitFn& emit) override;
+  Status ProcessBatch(const exec::Batch& input, const EmitFn& emit) override;
   Status Finish(const EmitFn& emit) override;
   void BindMetrics(metrics::MetricsRegistry* registry,
                    const std::string& prefix) override {
@@ -252,9 +240,8 @@ class ThresholdWindowOperator : public Operator {
 
   ThresholdWindowOperator() = default;
 
-  Status DoProcess(const exec::Batch& input, const EmitFn& emit);
   OpenWindow MakeWindow(Timestamp start) const;
-  void CloseInto(const KeyValue& key, OpenWindow& win, TupleBuffer* out) const;
+  void CloseInto(const KeyValue& key, OpenWindow& win, RecordWriter w) const;
 
   Schema input_schema_;
   Schema output_schema_;
@@ -281,20 +268,20 @@ class ThresholdWindowOperator : public Operator {
 /// retransmit/reorder-repair protocol runs on.
 inline constexpr size_t kWireFrameHeaderBytes = 4 * sizeof(uint64_t);
 
-/// \brief Upstream half of a lowered node transition: serializes each
-/// input buffer into a wire frame (32-byte header, see
-/// `kWireFrameHeaderBytes`, then the raw record bytes) and sends it over
-/// the `NetworkChannel` under a contiguous channel sequence number. The
-/// channel retains a bounded copy of each unacknowledged frame so the
+/// \brief Upstream half of a lowered node transition: serializes the
+/// selected rows of each input batch into a wire frame (32-byte header,
+/// see `kWireFrameHeaderBytes`, then the raw record bytes) and sends it
+/// over the `NetworkChannel` under a contiguous channel sequence number.
+/// The channel retains a bounded copy of each unacknowledged frame so the
 /// paired source can request retransmits; `Finish` flushes any frames the
 /// fault injector is still holding (reorder slot, delay queue).
 ///
 /// `CompilePlan` always places the paired `NetworkChannelSource`
-/// immediately downstream; the buffer this operator emits is only the
-/// scheduling hand-off that drives the pair within the fused pipeline —
-/// the *data* the rest of the chain sees travels through the serialized
-/// frame. Stats: `bytes_in` counts record payload, `bytes_out` counts
-/// serialized wire bytes.
+/// immediately downstream; the batch this operator emits (its input) is
+/// only the scheduling hand-off that drives the pair within the fused
+/// pipeline — the *data* the rest of the chain sees travels through the
+/// serialized frame. Stats: `bytes_in` counts record payload,
+/// `bytes_out` counts serialized wire bytes.
 class NetworkChannelSink : public Operator {
  public:
   static Result<OperatorPtr> Make(const Schema& input,
@@ -302,7 +289,7 @@ class NetworkChannelSink : public Operator {
 
   std::string name() const override { return "NetworkChannelSink"; }
   const Schema& output_schema() const override { return schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
+  Status ProcessBatch(const exec::Batch& input, const EmitFn& emit) override;
   Status Finish(const EmitFn& emit) override;
 
   const std::shared_ptr<NetworkChannel>& channel() const { return channel_; }
@@ -317,9 +304,9 @@ class NetworkChannelSink : public Operator {
 
 /// \brief Downstream half of a node transition: drains its channel,
 /// deserializes each wire frame into freshly allocated buffers (restoring
-/// buffer sequence numbers and watermarks) and emits them. The input
-/// buffer it receives from the paired `NetworkChannelSink` is ignored —
-/// it only schedules the drain.
+/// buffer sequence numbers and watermarks) and emits them sealed. The
+/// input batch it receives from the paired `NetworkChannelSink` is
+/// ignored — it only schedules the drain.
 ///
 /// Delivery hardening: frames land in a bounded reorder-repair buffer
 /// keyed by channel sequence and are released strictly in sequence order;
@@ -341,7 +328,7 @@ class NetworkChannelSource : public Operator {
 
   std::string name() const override { return "NetworkChannelSource"; }
   const Schema& output_schema() const override { return schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
+  Status ProcessBatch(const exec::Batch& input, const EmitFn& emit) override;
   Status Finish(const EmitFn& emit) override;
 
  private:
@@ -389,9 +376,7 @@ class NetworkChannelSource : public Operator {
 class SinkOperator : public Operator {
  public:
   const Schema& output_schema() const override { return schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
-  Status ProcessBatch(const exec::Batch& input,
-                      const BatchEmitFn& emit) override;
+  Status ProcessBatch(const exec::Batch& input, const EmitFn& emit) override;
 
  protected:
   explicit SinkOperator(Schema schema) : schema_(std::move(schema)) {}
@@ -417,8 +402,8 @@ class CollectSink : public SinkOperator {
   Status Consume(const exec::Batch& batch) override;
 
  private:
-  mutable std::mutex mutex_;
-  std::vector<std::vector<Value>> rows_;
+  mutable Mutex mutex_;
+  std::vector<std::vector<Value>> rows_ NM_GUARDED_BY(mutex_);
   size_t max_rows_;
 };
 
@@ -453,8 +438,8 @@ class CsvSink : public SinkOperator {
  private:
   CsvSink(Schema schema, FILE* file)
       : SinkOperator(std::move(schema)), file_(file) {}
-  FILE* file_;
-  std::mutex mutex_;
+  Mutex mutex_;
+  FILE* file_ NM_GUARDED_BY(mutex_);
 };
 
 }  // namespace nebulameos::nebula

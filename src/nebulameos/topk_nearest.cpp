@@ -10,7 +10,6 @@ using nebula::OperatorPtr;
 using nebula::RecordView;
 using nebula::RecordWriter;
 using nebula::Schema;
-using nebula::TupleBufferPtr;
 
 Result<OperatorPtr> TopKNearestOperator::Make(const Schema& input,
                                               TopKNearestOptions options) {
@@ -41,11 +40,11 @@ Result<OperatorPtr> TopKNearestOperator::Make(const Schema& input,
   return OperatorPtr(std::move(op));
 }
 
-Status TopKNearestOperator::Process(const TupleBufferPtr& input,
-                                    const EmitFn& emit) {
-  CountIn(*input);
-  for (size_t i = 0; i < input->size(); ++i) {
-    const RecordView rec = input->At(i);
+Status TopKNearestOperator::ProcessBatch(const nebula::exec::Batch& input,
+                                         const EmitFn& emit) {
+  CountIn(input);
+  for (size_t i = 0; i < input.NumRows(); ++i) {
+    const RecordView rec = input.data->At(input.RowAt(i));
     const Timestamp t = rec.GetInt64(time_index_);
     max_event_time_ = std::max(max_event_time_, t);
     const Timestamp start = (t / options_.window) * options_.window;
@@ -105,7 +104,7 @@ void TopKNearestOperator::EmitPane(Timestamp window_start, Pane& pane,
     }
   }
 
-  TupleBufferPtr out = ctx_->Allocate(output_schema_);
+  RowEmitter out(this, emit);
   for (size_t i = 0; i < n; ++i) {
     // Rank the other objects by nearest approach.
     std::vector<size_t> order;
@@ -116,12 +115,7 @@ void TopKNearestOperator::EmitPane(Timestamp window_start, Pane& pane,
               [&](size_t x, size_t y) { return dist[i][x] < dist[i][y]; });
     const size_t limit = std::min(options_.k, order.size());
     for (size_t r = 0; r < limit; ++r) {
-      if (out->full()) {
-        CountOut(*out);
-        emit(out);
-        out = ctx_->Allocate(output_schema_);
-      }
-      RecordWriter w = out->Append();
+      RecordWriter w = out.Append();
       w.SetInt64(0, trajectories[i].first);
       w.SetInt64(1, window_start);
       w.SetInt64(2, window_start + options_.window);
@@ -130,10 +124,7 @@ void TopKNearestOperator::EmitPane(Timestamp window_start, Pane& pane,
       w.SetDouble(5, dist[i][order[r]]);
     }
   }
-  if (!out->empty()) {
-    CountOut(*out);
-    emit(out);
-  }
+  out.Flush();
 }
 
 }  // namespace nebulameos::integration

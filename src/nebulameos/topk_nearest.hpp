@@ -43,8 +43,8 @@ class TopKNearestOperator : public nebula::Operator {
   const nebula::Schema& output_schema() const override {
     return output_schema_;
   }
-  Status Process(const nebula::TupleBufferPtr& input,
-                 const EmitFn& emit) override;
+  Status ProcessBatch(const nebula::exec::Batch& input,
+                      const EmitFn& emit) override;
   Status Finish(const EmitFn& emit) override;
 
  private:

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "queries/queries.hpp"
 
 namespace nebulameos::queries {
@@ -13,6 +15,11 @@ using nebula::Value;
 using nebula::ValueAsBool;
 using nebula::ValueAsDouble;
 using nebula::ValueAsInt64;
+
+std::vector<std::vector<Value>> Sorted(std::vector<std::vector<Value>> rows) {
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
 
 class QueriesTest : public ::testing::Test {
  protected:
@@ -286,8 +293,11 @@ TEST_F(QueriesTest, SharedIngestFanOutServesAlertsAndArchiveFromOneStream) {
     // Both branch sinks fed from that one ingest, keyed by DAG path.
     EXPECT_EQ(stats->sink_stats.size(), 2u);
     EXPECT_EQ(built->collects.size(), 2u);
-    return std::make_pair(built->collects[0]->Rows(),
-                          built->collects[1]->Rows());
+    // Sorted: at N workers the archive branch's keyed window runs as
+    // hash-partitioned clones that emit into one sink in an unspecified
+    // interleaving; only the order within a key is part of the contract.
+    return std::make_pair(Sorted(built->collects[0]->Rows()),
+                          Sorted(built->collects[1]->Rows()));
   };
   const auto [opt_alerts, opt_archive] = run(true);
   const auto [raw_alerts, raw_archive] = run(false);
