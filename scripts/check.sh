@@ -10,12 +10,13 @@
 #
 # Opt-in fault-injection gate (mirrors the CI `fault-injection` job):
 #   CHECK_FAULTS=1 scripts/check.sh
-# runs the full suite with NM_FAULT_PROFILE armed (default: 1% drop,
-# 0.5% reorder, seeded), so every lowered network channel injects
-# deterministic faults the retransmit/reorder-repair machinery must
-# recover from, then runs bench_fault_tolerance and leaves
-# BENCH_faults.json in the repo root (CI artifact). Override the profile
-# via NM_FAULT_PROFILE.
+# runs the full suite twice with NM_FAULT_PROFILE armed, so every
+# lowered network channel injects deterministic faults the
+# retransmit/reorder-repair machinery must recover from: first 1% drop +
+# 0.5% reorder (reorder horizon 0), then drop + dup + reorder + 1% delay
+# (delays widen the horizon to 3 sends), both seeded. Then it runs
+# bench_fault_tolerance and leaves BENCH_faults.json in the repo root
+# (CI artifact). Setting NM_FAULT_PROFILE replaces both profiles.
 #
 # Opt-in static-analysis gate (mirrors the CI `static-analysis` job):
 #   CHECK_STATIC=1 scripts/check.sh
@@ -57,15 +58,22 @@ fi
 
 if [[ "${CHECK_FAULTS:-0}" == "1" ]]; then
   BUILD_DIR="${1:-build}"
-  PROFILE="${NM_FAULT_PROFILE:-drop=0.01,reorder=0.005,seed=20250808}"
+  if [[ -n "${NM_FAULT_PROFILE:-}" ]]; then
+    PROFILES=("$NM_FAULT_PROFILE")
+  else
+    PROFILES=("drop=0.01,reorder=0.005,seed=20250808"
+              "drop=0.01,dup=0.005,reorder=0.005,delay=0.01,seed=20250808")
+  fi
   cmake -B "$BUILD_DIR" -S .
   cmake --build "$BUILD_DIR" -j
-  (cd "$BUILD_DIR" && NM_FAULT_PROFILE="$PROFILE" ctest --output-on-failure -j)
+  for PROFILE in "${PROFILES[@]}"; do
+    (cd "$BUILD_DIR" && NM_FAULT_PROFILE="$PROFILE" ctest --output-on-failure -j)
+  done
   # Loss-rate sweep: asserts lossy row sets match the fault-free
   # reference exactly; leaves BENCH_faults.json in the repo root.
   env -u NM_FAULT_PROFILE "$BUILD_DIR"/bench/bench_fault_tolerance 200000 \
     BENCH_faults.json
-  echo "fault injection gate: OK (profile: $PROFILE)"
+  echo "fault injection gate: OK (profiles: ${PROFILES[*]})"
   exit 0
 fi
 

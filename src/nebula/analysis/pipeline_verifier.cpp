@@ -74,10 +74,9 @@ void CheckSegment(const CompiledPipeline& pipe, const std::string& expected,
                    "wire traffic");
   }
 
-  // Fault coherence: a channel armed with loss needs recovery machinery —
-  // retained frames to retransmit from and a repair buffer to detect the
-  // gap in. Without both, every injected drop is silent data loss even
-  // under the strict kBlock policy.
+  // Fault coherence: a channel armed with loss needs retained frames to
+  // retransmit from. Without them, every injected drop is silent data
+  // loss even under the strict kBlock policy.
   for (size_t c = 0; c < pipe.channels.size(); ++c) {
     const auto& ch = pipe.channels[c];
     if (ch == nullptr) {
@@ -86,15 +85,12 @@ void CheckSegment(const CompiledPipeline& pipe, const std::string& expected,
     }
     const FaultProfile& profile = ch->fault_profile();
     const RetryOptions& retry = ch->retry_options();
-    if (profile.drop_rate > 0.0 &&
-        (retry.retain_limit < 1 || retry.reorder_capacity < 1)) {
+    if (profile.drop_rate > 0.0 && retry.retain_limit < 1) {
       out->push_back(seg + ": channel " + ch->EndpointsString() +
                      " injects drops (rate " +
                      std::to_string(profile.drop_rate) +
                      ") but retry options disable recovery (retain_limit=" +
                      std::to_string(retry.retain_limit) +
-                     ", reorder_capacity=" +
-                     std::to_string(retry.reorder_capacity) +
                      ") — dropped frames could never be repaired");
     }
   }

@@ -10,8 +10,9 @@
 /// same fault sequence — CI can gate on exact outcomes), and
 /// `RetryOptions` configures the recovery machinery that keeps delivery
 /// exactly-once under those faults: a bounded sender-side retransmit
-/// queue with exponential backoff, and a bounded receiver-side reorder
-/// repair buffer (operators.hpp `NetworkChannelSource`).
+/// queue with exponential backoff, and a receiver-side reorder-repair
+/// buffer (operators.hpp `NetworkChannelSource`) whose gap-repair trigger
+/// follows from the profile itself (`FaultProfile::ReorderHorizon`).
 ///
 /// Profiles resolve with the precedence env > engine option > per-link:
 /// `NM_FAULT_PROFILE="drop=0.01,reorder=0.005,seed=7"` overrides
@@ -47,6 +48,14 @@ struct FaultProfile {
     return drop_rate > 0.0 || duplicate_rate > 0.0 || reorder_rate > 0.0 ||
            delay_rate > 0.0 || disconnect_after_frames > 0;
   }
+
+  /// How many later frames can reach the receiver ahead of a frame this
+  /// profile holds back without losing it. A reorder swaps a frame with
+  /// its successor inside one send, so no drain sees it missing with
+  /// frames behind it (0); a delay holds a frame for at most
+  /// `FaultInjector::kMaxDelaySends` sends. A gap with more frames behind
+  /// it than this can only be a drop.
+  size_t ReorderHorizon() const;
 };
 
 /// Parses `"drop=0.01,dup=0.002,reorder=0.005,delay=0.01,`
@@ -85,8 +94,11 @@ enum class HealthState {
 
 const char* ToString(HealthState state);
 
-/// \brief Recovery configuration of one channel pair (sender retransmit
-/// queue + receiver reorder-repair buffer).
+/// \brief Recovery configuration of one channel pair: the sender's
+/// retransmit queue, its retry pricing, and the shed policy. The
+/// receiver's reorder-repair buffer takes no setting — it requests a
+/// retransmit once more frames wait behind a gap than the channel's
+/// `FaultProfile::ReorderHorizon`, and for any missing tail at `Finish`.
 struct RetryOptions {
   /// Sender-side frames retained for retransmission until acknowledged.
   /// Saturation applies `shed_policy`; a shed frame that later turns out
@@ -102,10 +114,6 @@ struct RetryOptions {
   double backoff_cap_seconds = 2.0;
   /// Fraction of the backoff randomized (±jitter/2, seeded).
   double jitter = 0.5;
-  /// Receiver-side reorder-repair buffer capacity in frames; a gap older
-  /// than this buffer triggers retransmission (the deterministic stand-in
-  /// for a retransmit timeout).
-  size_t reorder_capacity = 64;
   /// Applied when the retain queue saturates or a frame is unrecoverable:
   /// `kBlock` fails the branch, the drop policies skip the frame and
   /// count it shed.
@@ -155,8 +163,12 @@ class FaultInjector {
            frames_sent >= profile_.disconnect_after_frames;
   }
 
-  /// How many subsequent sends a delayed frame is held back (1..3).
-  uint64_t DelaySends() { return 1 + rng_.UniformInt(3); }
+  /// Upper bound of `DelaySends`.
+  static constexpr uint64_t kMaxDelaySends = 3;
+
+  /// How many subsequent sends a delayed frame is held back
+  /// (1..kMaxDelaySends).
+  uint64_t DelaySends() { return 1 + rng_.UniformInt(kMaxDelaySends); }
 
   /// Seeded uniform in [0, 1) for backoff jitter.
   double JitterDraw() { return rng_.Uniform(); }
@@ -165,5 +177,9 @@ class FaultInjector {
   FaultProfile profile_;
   Rng rng_;
 };
+
+inline size_t FaultProfile::ReorderHorizon() const {
+  return delay_rate > 0.0 ? FaultInjector::kMaxDelaySends : 0;
+}
 
 }  // namespace nebulameos::nebula

@@ -748,12 +748,14 @@ Status NetworkChannelSource::Drain(const EmitFn& emit, bool at_end) {
     }
     NM_RETURN_NOT_OK(ReleaseReady(emit));
     // After releasing the in-sequence prefix, anything still pending sits
-    // behind a gap at next_seq_. Repair it when the buffer overflows its
-    // bound, or at end-of-stream when the sender's tail never arrived.
-    const RetryOptions& retry = channel_->retry_options();
-    const bool overflow = pending_.size() > retry.reorder_capacity;
+    // behind a gap at next_seq_. Once more frames wait behind it than the
+    // fault profile can move a frame, the gap can only be a drop: repair
+    // it now. At end-of-stream, also repair a tail that never arrived.
+    const bool dropped =
+        pending_.size() > channel_->fault_profile().ReorderHorizon();
     const bool tail_missing = at_end && next_seq_ < channel_->seq_end();
-    if (!overflow && !tail_missing) return Status::OK();
+    if (!dropped && !tail_missing) return Status::OK();
+    const RetryOptions& retry = channel_->retry_options();
     Status repair = channel_->RequestRetransmit(next_seq_);
     if (repair.ok()) continue;  // re-sent; the next Receive round has it
     // Unrecoverable gap: degrade by policy.

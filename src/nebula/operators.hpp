@@ -308,12 +308,16 @@ class NetworkChannelSink : public Operator {
 /// input batch it receives from the paired `NetworkChannelSink` is
 /// ignored — it only schedules the drain.
 ///
-/// Delivery hardening: frames land in a bounded reorder-repair buffer
-/// keyed by channel sequence and are released strictly in sequence order;
+/// Delivery hardening: frames land in a reorder-repair buffer keyed by
+/// channel sequence and are released strictly in sequence order;
 /// duplicates are suppressed, acknowledged frames are released from the
 /// sender's retransmit queue, and a gap (dropped frame) is repaired by
-/// requesting a retransmit — immediately when the repair buffer
-/// overflows its capacity, and at `Finish` for any missing tail. An
+/// requesting a retransmit — as soon as more frames wait behind it than
+/// the channel's fault profile can move a frame
+/// (`FaultProfile::ReorderHorizon`: 0, or 3 sends when delays are
+/// armed), and at `Finish` for any missing tail. A reliable or
+/// reorder-only channel therefore repairs a gap on the first frame that
+/// reveals it, and never requests a frame that is merely late. An
 /// unrecoverable gap (channel dead, frame shed from the retransmit queue,
 /// or retransmit attempts exhausted) follows the channel's shed policy:
 /// `kBlock` fails the query with a `Status` naming the channel, the drop
@@ -358,8 +362,10 @@ class NetworkChannelSource : public Operator {
 
   Schema schema_;
   std::shared_ptr<NetworkChannel> channel_;
-  /// Reorder-repair buffer keyed by channel sequence; bounded by
-  /// `retry_options().reorder_capacity` (overflow triggers gap repair).
+  /// Reorder-repair buffer keyed by channel sequence: the frames behind
+  /// the gap at `next_seq_`. Holds at most the profile's reorder horizon
+  /// between drains — one frame more proves the gap a drop and triggers
+  /// its retransmit.
   std::map<uint64_t, PendingFrame> pending_;
   uint64_t next_seq_ = 0;  ///< next channel sequence to release
   /// Per-channel watermark clamp: emitted watermarks are monotonic even

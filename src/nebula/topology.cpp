@@ -272,13 +272,6 @@ void NetworkChannel::Kill() {
 void NetworkChannel::Send(uint64_t seq, std::vector<uint8_t> frame,
                           uint64_t payload_bytes, uint64_t events) {
   const double frame_seconds = RouteSeconds(frame.size());
-  // Metrics record lock-free (bound before the run, immutable after).
-  if (m_wire_bytes_ != nullptr) {
-    m_wire_bytes_->Add(frame.size());
-    m_frames_->Increment();
-    m_events_->Add(events);
-    m_transfer_micros_->Record(static_cast<int64_t>(frame_seconds * 1e6));
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   if (disconnected_) {
     // Sends into a dead channel vanish; the receiver's accounting against
@@ -286,6 +279,13 @@ void NetworkChannel::Send(uint64_t seq, std::vector<uint8_t> frame,
     lost_ += 1;
     if (m_dropped_ != nullptr) m_dropped_->Increment();
     return;
+  }
+  // Traffic metrics count accepted frames only, like the fields below.
+  if (m_wire_bytes_ != nullptr) {
+    m_wire_bytes_->Add(frame.size());
+    m_frames_->Increment();
+    m_events_->Add(events);
+    m_transfer_micros_->Record(static_cast<int64_t>(frame_seconds * 1e6));
   }
   frames_ += 1;
   events_ += events;
@@ -442,6 +442,10 @@ void NetworkChannel::FlushFaults() {
 
 HealthState NetworkChannel::health() const {
   std::lock_guard<std::mutex> lock(mutex_);
+  return HealthLocked();
+}
+
+HealthState NetworkChannel::HealthLocked() const {
   if (disconnected_) return HealthState::kDisconnected;
   if (dropped_ > 0 || duplicated_ > 0 || reordered_ > 0 || delayed_ > 0 ||
       retransmits_ > 0 || shed_ > 0 || dup_suppressed_ > 0 || lost_ > 0) {
@@ -480,15 +484,7 @@ Result<DeploymentReport> MeasureDeployment(
     report.duplicates_suppressed += channel->dup_suppressed_;
     report.frames_lost += channel->lost_;
     // Worst-of health: one dead channel marks the deployment Disconnected.
-    HealthState ch_health = HealthState::kHealthy;
-    if (channel->disconnected_) {
-      ch_health = HealthState::kDisconnected;
-    } else if (channel->dropped_ > 0 || channel->duplicated_ > 0 ||
-               channel->reordered_ > 0 || channel->delayed_ > 0 ||
-               channel->retransmits_ > 0 || channel->shed_ > 0 ||
-               channel->dup_suppressed_ > 0 || channel->lost_ > 0) {
-      ch_health = HealthState::kDegraded;
-    }
+    const HealthState ch_health = channel->HealthLocked();
     if (static_cast<int>(ch_health) > static_cast<int>(report.health)) {
       report.health = ch_health;
     }

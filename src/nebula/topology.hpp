@@ -161,6 +161,12 @@ struct DeploymentReport {
 /// it; a receiver that detects a gap calls `RequestRetransmit`, which
 /// re-injects the retained copy and prices the retry's exponential
 /// backoff (plus seeded jitter) into the channel's transfer seconds.
+///
+/// The injector moves frames only within a bound the receiver relies on
+/// (`FaultProfile::ReorderHorizon`): a reorder swaps a frame with its
+/// successor inside one locked `Send`, so both arrive together, and a
+/// delay holds a frame for at most `FaultInjector::kMaxDelaySends`
+/// further sends. Retransmits bypass the injector.
 class NetworkChannel {
  public:
   /// Resolves the cheapest route from \p from to \p to in \p topology and
@@ -180,9 +186,9 @@ class NetworkChannel {
 
   /// Arms fault injection and recovery: the effective profile combines
   /// \p profile (engine- or env-level) with the route's link profiles,
-  /// and \p retry bounds the retransmit queue and repair buffer. Call
-  /// before the first `Send`; a profile with no behaviour and default
-  /// retry options keep the channel on the zero-overhead reliable path.
+  /// and \p retry bounds the retransmit queue. Call before the first
+  /// `Send`; a profile with no behaviour and default retry options keep
+  /// the channel on the zero-overhead reliable path.
   void ConfigureFaults(const FaultProfile& profile, const RetryOptions& retry);
 
   /// The effective fault profile (link profiles combined with whatever
@@ -268,9 +274,11 @@ class NetworkChannel {
 
   /// Resolves this channel's live instruments: wire-byte/frame/event
   /// counters plus a per-frame transfer-latency histogram, recorded on
-  /// every `Send`. Pointers must outlive the channel (the engine binds
-  /// them out of the query's registry before the run starts). All four
-  /// must be set together; unbound channels record nothing.
+  /// every `Send` the channel accepts (a send into a dead channel only
+  /// bumps the fault-path drop counter). Pointers must outlive the
+  /// channel (the engine binds them out of the query's registry before
+  /// the run starts). All four must be set together; unbound channels
+  /// record nothing.
   void BindMetrics(metrics::Counter* wire_bytes, metrics::Counter* frames,
                    metrics::Counter* events,
                    metrics::Histogram* transfer_micros) {
@@ -328,6 +336,10 @@ class NetworkChannel {
 
   /// Kills the channel. Caller holds `mutex_`.
   void KillLocked();
+
+  /// `health()` body, shared with `MeasureDeployment`. Caller holds
+  /// `mutex_`.
+  HealthState HealthLocked() const;
 
   int from_ = 0;
   int to_ = 0;

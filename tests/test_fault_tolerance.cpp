@@ -1,10 +1,11 @@
 // Fault-tolerance tests: fault-profile parsing and combination, seeded
 // injector determinism, the channel retransmit protocol (drop repair,
-// disconnect, retain-queue shedding), engine-level row-set equivalence of
-// lossy placed runs against fault-free references (reorder, duplicates,
-// env-configured profiles), watermark monotonicity through the repair
-// path, stateful-operator late-record guards, and worker-pool morsel
-// shedding.
+// disconnect, retain-queue shedding), gap repair within the profile's
+// reorder horizon, engine-level row-set equivalence of lossy placed runs
+// against fault-free references (reorder, duplicates, env-configured
+// profiles, no spurious retransmits), watermark monotonicity through the
+// repair path, stateful-operator late-record guards, and worker-pool
+// morsel shedding.
 
 #include <gtest/gtest.h>
 
@@ -119,23 +120,41 @@ class ScopedProfileOverride {
 struct RunResult {
   Status status;
   DeploymentReport deployment;
+  metrics::MetricsSnapshot metrics;
 };
 
 RunResult RunPlan(LogicalPlan plan, const Topology* topology,
-                  const FaultToleranceOptions& faults) {
+                  const FaultToleranceOptions& faults, size_t workers = 0) {
   EngineOptions options;
   options.optimizer.enable = false;
   options.topology = topology;
   options.tuples_per_buffer = 8;
+  options.worker_threads = workers;
   options.faults = faults;
   NodeEngine engine(options);
   auto id = engine.Submit(std::move(plan));
-  if (!id.ok()) return {id.status(), {}};
+  if (!id.ok()) return {id.status(), {}, {}};
   RunResult result;
   result.status = engine.RunToCompletion(*id);
   auto report = engine.Deployment(*id);
   if (report.ok()) result.deployment = *report;
+  auto snapshot = engine.Metrics(*id);
+  if (snapshot.ok()) result.metrics = *snapshot;
   return result;
+}
+
+// Sum of the `channel.*<suffix>` counters across a run's channels.
+uint64_t ChannelCounterSum(const metrics::MetricsSnapshot& snapshot,
+                           const std::string& suffix) {
+  uint64_t sum = 0;
+  for (const auto& [name, value] : snapshot.counters) {
+    if (name.rfind("channel.", 0) == 0 && name.size() >= suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      sum += value;
+    }
+  }
+  return sum;
 }
 
 // --- Profile parsing and combination -----------------------------------
@@ -321,6 +340,85 @@ TEST(NetworkChannelFaults, LossyLinkArmsChannelOnConnect) {
   EXPECT_TRUE((*channel)->Receive(&frame));
 }
 
+// The receiver repairs a gap as soon as more frames wait behind it than
+// the profile can move a frame (`FaultProfile::ReorderHorizon`). So after
+// every send + drain at most `horizon` received frames wait unreleased,
+// and the receiver has released all frames sent but the newest
+// horizon + 1 — a delayed frame and the frames behind it — plus any
+// trailing drops that no later frame has revealed yet. A larger lag
+// means a revealed drop went unrepaired.
+void ExpectGapRepairWithinHorizon(const char* spec) {
+  SCOPED_TRACE(spec);
+  auto profile = ParseFaultProfile(spec);
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  const Topology topo = Topology::SncbReference(1, 1e6, Millis(1));
+  auto channel = NetworkChannel::Connect(topo, kEdge, kCloud);
+  ASSERT_TRUE(channel.ok());
+  (*channel)->ConfigureFaults(*profile, RetryOptions{});
+  const uint64_t horizon = (*channel)->fault_profile().ReorderHorizon();
+  auto sink = NetworkChannelSink::Make(EventSchema(), *channel);
+  auto source = NetworkChannelSource::Make(EventSchema(), *channel);
+  ASSERT_TRUE(sink.ok() && source.ok());
+  ExecutionContext ctx(/*tuples_per_buffer=*/8, /*pool_size=*/16);
+  ASSERT_TRUE((*sink)->Open(&ctx).ok());
+  ASSERT_TRUE((*source)->Open(&ctx).ok());
+
+  std::vector<double> released;  // one row per frame, sent in order
+  auto collect = [&released](const exec::Batch& batch) {
+    for (size_t i = 0; i < batch.NumRows(); ++i) {
+      released.push_back(batch.data->At(batch.RowAt(i)).GetDouble(2));
+    }
+  };
+  auto to_source = [&source, &collect](const exec::Batch& batch) {
+    const Status st = (*source)->ProcessBatch(batch, collect);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  };
+  constexpr int kFrames = 400;
+  uint64_t max_lag = 0;
+  uint64_t dropped = 0;
+  uint64_t unrevealed = 0;  // consecutive drops among the newest sends
+  for (int i = 0; i < kFrames; ++i) {
+    auto buf = std::make_shared<TupleBuffer>(EventSchema(), 1);
+    RecordWriter w = buf->Append();
+    w.SetInt64(0, i % 3);
+    w.SetInt64(1, Seconds(i));
+    w.SetDouble(2, static_cast<double>(i));
+    buf->Seal();
+    ASSERT_TRUE((*sink)->ProcessBatch(exec::Batch(std::move(buf)), to_source)
+                    .ok());
+    const uint64_t now_dropped = (*channel)->frames_dropped();
+    unrevealed = now_dropped > dropped ? unrevealed + 1 : 0;
+    dropped = now_dropped;
+    const uint64_t received = (*source)->stats().events_in;
+    ASSERT_LE(received - released.size(), horizon)
+        << "after frame " << i << ": frames wait behind a gap";
+    const uint64_t seq_end = (*channel)->seq_end();
+    ASSERT_GE(released.size() + horizon + 1 + unrevealed, seq_end)
+        << "after frame " << i << ": " << released.size() << " of "
+        << seq_end << " frames released";
+    max_lag = std::max<uint64_t>(max_lag, seq_end - released.size());
+  }
+  ASSERT_TRUE((*sink)->Finish(collect).ok());
+  ASSERT_TRUE((*source)->Finish(collect).ok());
+  // Every frame arrives exactly once, in order; each drop cost exactly
+  // one retransmit and nothing merely late was re-requested.
+  ASSERT_EQ(released.size(), static_cast<size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(released[i], static_cast<double>(i));
+  }
+  EXPECT_EQ((*channel)->retransmits(), (*channel)->frames_dropped());
+  EXPECT_EQ((*channel)->frames_lost(), 0u);
+  EXPECT_GT(max_lag, 0u);  // the profile did hold frames back
+}
+
+TEST(NetworkChannelFaults, DropsAreRepairedOnTheFirstFrameBehindThem) {
+  ExpectGapRepairWithinHorizon("drop=0.05,seed=17");
+}
+
+TEST(NetworkChannelFaults, DelayedFramesReleaseWithinTheDelayHorizon) {
+  ExpectGapRepairWithinHorizon("delay=0.2,seed=17");
+}
+
 // --- Engine-level delivery hardening -----------------------------------
 
 // Reference rows of the linear plan, fault-free. "seed=1" parses to a
@@ -363,6 +461,39 @@ TEST(EngineFaultTolerance, LossyRunMatchesFaultFreeRowSet) {
   EXPECT_GT(run.deployment.frames_dropped, 0u);
   EXPECT_GT(run.deployment.retransmits, 0u);
   EXPECT_EQ(run.deployment.frames_lost, 0u);
+}
+
+// The repair trigger sits exactly at the profile's reorder horizon: no
+// profile without drops may ever request a retransmit (a frame that is
+// only reordered, delayed or duplicated is never mistaken for a drop),
+// and with drops each costs exactly one. Run at 1 and 4 workers.
+TEST(EngineFaultTolerance, RetransmitsOnlyDroppedFrames) {
+  const std::vector<std::vector<Value>> reference = LinearReference(300);
+  ASSERT_FALSE(reference.empty());
+  const Topology topo = Topology::SncbReference(1, 1e6, Millis(1));
+  for (const char* spec :
+       {"delay=0.3,seed=21", "reorder=0.4,seed=22",
+        "reorder=0.3,delay=0.3,dup=0.1,seed=23",
+        "drop=0.1,delay=0.3,reorder=0.2,seed=24", "drop=0.3,seed=25"}) {
+    for (const size_t workers : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(std::string(spec) + " @ " + std::to_string(workers) +
+                   " worker(s)");
+      auto profile = ParseFaultProfile(spec);
+      ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+      std::shared_ptr<CollectSink> sink;
+      auto plan = MakePlacedLinearPlan(300, &sink);
+      ASSERT_TRUE(plan.ok());
+      ScopedProfileOverride scoped(spec);
+      FaultToleranceOptions faults;
+      faults.profile = *profile;
+      RunResult run = RunPlan(std::move(*plan), &topo, faults, workers);
+      ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+      EXPECT_EQ(Sorted(sink->Rows()), reference);
+      EXPECT_EQ(run.deployment.retransmits, run.deployment.frames_dropped);
+      EXPECT_EQ(run.deployment.frames_lost, 0u);
+      EXPECT_EQ(run.deployment.health, HealthState::kDegraded);
+    }
+  }
 }
 
 TEST(EngineFaultTolerance, DuplicateFramesAreIdempotent) {
@@ -479,6 +610,18 @@ TEST(EngineFaultTolerance, ShedPolicySkipsUnrecoverableGaps) {
   EXPECT_LT(rows.size(), reference.size());
   EXPECT_TRUE(std::includes(reference.begin(), reference.end(), rows.begin(),
                             rows.end()));
+  // The channel's live traffic metrics count the frames it accepted, the
+  // same as the report: sends into the dead channel count in neither.
+  EXPECT_EQ(ChannelCounterSum(run.metrics, ".wire_bytes"),
+            run.deployment.wire_bytes);
+  EXPECT_EQ(ChannelCounterSum(run.metrics, ".frames"),
+            run.deployment.frames);
+  uint64_t transfers = 0;
+  for (const auto& [name, hist] : run.metrics.histograms) {
+    if (name.rfind("channel.", 0) == 0) transfers += hist.count;
+  }
+  // One transfer sample per accepted send; retransmits record none.
+  EXPECT_EQ(transfers, run.deployment.frames - run.deployment.retransmits);
   SetLogLevel(LogLevel::kWarn);
 }
 
