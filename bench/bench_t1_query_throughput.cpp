@@ -123,9 +123,9 @@ FanOutRows RunFanOutComparison(const DemoEnvironment& env,
 }
 
 // Morsel scaling: the shared-ingest fan-out plan swept over worker
-// counts 1/2/4. All runs are pipelined (source on its own thread), so
-// the sweep isolates what the worker pool adds: concurrent branches plus
-// the hash-partitioned window suffix.
+// counts 1/2/4. Every run ingests on the query's one run thread, so the
+// sweep isolates what the worker pool adds: concurrent branches plus the
+// hash-partitioned window suffix.
 struct ThreadScaling {
   static constexpr size_t kCounts[3] = {1, 2, 4};
   double ke_per_s[3] = {0.0, 0.0, 0.0};
@@ -147,7 +147,6 @@ ThreadScaling RunThreadSweep(const DemoEnvironment& env,
       return out;
     }
     nebula::EngineOptions engine_options;
-    engine_options.pipelined = true;
     engine_options.worker_threads = ThreadScaling::kCounts[i];
     nebula::NodeEngine engine(engine_options);
     auto id = engine.Submit(std::move(built->plan));
@@ -322,8 +321,8 @@ int main(int argc, char** argv) {
 
   // Morsel-driven scaling on the fan-out plan: worker counts 1/2/4.
   const ThreadScaling scaling = RunThreadSweep(**env, events);
-  std::printf("\nmorsel-driven scaling (fan-out plan, pipelined source,"
-              " worker pool 1/2/4):\n");
+  std::printf("\nmorsel-driven scaling (fan-out plan, worker pool"
+              " 1/2/4):\n");
   std::printf("  %-10s %12s %12s\n", "workers", "ke/s", "speedup");
   for (size_t i = 0; i < 3; ++i) {
     std::printf("  %-10zu %12.1f %12.2fx\n", ThreadScaling::kCounts[i],

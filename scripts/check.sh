@@ -93,11 +93,13 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j
 cd "$BUILD_DIR" && ctest --output-on-failure -j
 
-# Observability smoke: run one query with the rate sampler enabled and
-# require a populated metrics snapshot (the example exits non-zero when
-# the ingest counter, operator histograms or strand gauges are missing;
-# the grep pins the JSON export format end-to-end).
-./examples/example_metrics_observability | grep -q '"engine.events_ingested"'
+# Observability smoke: run one query and require a populated metrics
+# snapshot (the example exits non-zero when the ingest counter, operator
+# histograms, strand gauges or a positive read-time ingest rate are
+# missing; the greps pin the JSON export format end-to-end).
+smoke_json="$(./examples/example_metrics_observability)"
+grep -q '"engine.events_ingested"' <<<"$smoke_json"
+grep -q '"engine.ingest_events_per_sec"' <<<"$smoke_json"
 echo "metrics smoke: OK"
 
 # Fleet serving smoke: the shared-query manager must collapse K queries

@@ -1,19 +1,22 @@
 #include "nebula/engine.hpp"
 
 #include <cstdlib>
-#include <deque>
 #include <optional>
 
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "nebula/analysis/pipeline_verifier.hpp"
 #include "nebula/analysis/plan_verifier.hpp"
-#include "nebula/metrics/sampler.hpp"
 #include "nebula/worker_pool.hpp"
 
 namespace nebulameos::nebula {
 
 namespace {
+
+// Queued (not yet started) morsels a dispatch target's strand holds before
+// a post from the ingest thread blocks — or, under a shed policy, sheds.
+// Worker-side posts never block (see worker_pool.hpp).
+constexpr size_t kStrandCapacity = 8;
 
 // Worker count resolution: an explicit option wins; otherwise the
 // NM_WORKER_THREADS environment variable (the CI/TSan toggle that forces
@@ -65,47 +68,6 @@ uint64_t HashKeyText(const std::string& s) {
   return h;
 }
 
-/// Bounded blocking queue for the pipelined hand-off between the source
-/// thread and the processing thread.
-class BoundedQueue {
- public:
-  explicit BoundedQueue(size_t capacity) : capacity_(capacity) {}
-
-  void Push(TupleBufferPtr buf) NM_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    while (items_.size() >= capacity_ && !closed_) not_full_.Wait(mutex_);
-    if (closed_) return;
-    items_.push_back(std::move(buf));
-    not_empty_.NotifyOne();
-  }
-
-  /// Pops the next buffer; returns nullptr when closed and drained.
-  TupleBufferPtr Pop() NM_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    while (items_.empty() && !closed_) not_empty_.Wait(mutex_);
-    if (items_.empty()) return nullptr;
-    TupleBufferPtr buf = std::move(items_.front());
-    items_.pop_front();
-    not_full_.NotifyOne();
-    return buf;
-  }
-
-  void Close() NM_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    closed_ = true;
-    not_empty_.NotifyAll();
-    not_full_.NotifyAll();
-  }
-
- private:
-  size_t capacity_;
-  Mutex mutex_;
-  CondVar not_empty_;
-  CondVar not_full_;
-  std::deque<TupleBufferPtr> items_ NM_GUARDED_BY(mutex_);
-  bool closed_ NM_GUARDED_BY(mutex_) = false;
-};
-
 /// Depth-first visit of every segment of a compiled pipeline tree.
 template <typename Fn>
 void ForEachSegment(const CompiledPipeline& seg, const Fn& fn) {
@@ -122,17 +84,12 @@ struct NodeEngine::RunningQuery {
   SourcePtr source;
   CompiledPipeline pipeline;  // operator tree; sinks at the leaves
   std::unique_ptr<ExecutionContext> ctx;
-  std::unique_ptr<BoundedQueue> queue;  // pipelined mode only
 
   std::thread worker;
-  std::thread source_thread;  // pipelined mode only
   std::atomic<bool> cancel{false};
   std::atomic<bool> started{false};
   std::atomic<bool> finished{false};
   Status run_status;
-  // Written by the source thread (pipelined mode) strictly before it closes
-  // the queue; read by the pipeline thread only after the queue drains.
-  Status source_status;
 
   // Ingest-side counters (source output).
   std::atomic<uint64_t> events_ingested{0};
@@ -150,22 +107,25 @@ struct NodeEngine::RunningQuery {
   // Declared before `pool` so in-flight worker tasks can still record
   // while the pool destructor drains them.
   std::unique_ptr<metrics::MetricsRegistry> metrics;
-  // Periodic rate sampler (metrics_interval > 0); declared after the
-  // registry (destroyed first) and stopped at the end of RunLoop.
-  std::unique_ptr<metrics::Sampler> sampler;
   bool metrics_on = false;
   // Verify-each: check the batch contract (sealed buffer, ascending
   // in-bounds selection) at every segment entry, and strand ownership
   // whenever strands are made. Set from `OptimizerOptions::verify_each`.
   bool verify_batches = false;
-  // Engine-level flow counters and sampler-derived rate gauges.
+  // Engine-level flow counters and the rate gauges `PublishRates` derives
+  // from them whenever the metrics are read.
   metrics::Counter* m_events_ingested = nullptr;
   metrics::Counter* m_bytes_ingested = nullptr;
   metrics::Counter* m_events_emitted = nullptr;
   metrics::Counter* m_bytes_emitted = nullptr;
   metrics::Gauge* m_ingest_rate = nullptr;
   metrics::Gauge* m_emit_rate = nullptr;
-  metrics::Counter* m_samples = nullptr;
+  // The previous read's window end and counter values: each read's rates
+  // cover the window since then (since `Start` for the first read).
+  Mutex rate_mutex;
+  int64_t rate_window_start NM_GUARDED_BY(rate_mutex) = 0;
+  uint64_t rate_last_in NM_GUARDED_BY(rate_mutex) = 0;
+  uint64_t rate_last_out NM_GUARDED_BY(rate_mutex) = 0;
 
   // --- Dispatch targets ---
   // One record per pipeline a sealed batch is handed to: each static
@@ -185,8 +145,9 @@ struct NodeEngine::RunningQuery {
     /// Backpressure instruments, keyed by segment path: partition clones
     /// carry their segment's path and share its gauge, histogram and
     /// depth count, so metric names do not depend on the worker count.
-    metrics::Gauge* queue_depth = nullptr;    ///< live queued-batch count
+    metrics::Gauge* queue_depth = nullptr;    ///< `depth`, as of the last read
     metrics::Histogram* task_wait = nullptr;  ///< post → run latency
+    /// Queued tasks: +1 per post, -1 per run or shed.
     std::atomic<int64_t> own_depth{0};
     std::atomic<int64_t>* depth = &own_depth;
     std::vector<std::unique_ptr<Target>> branches;    ///< seg->branches
@@ -351,42 +312,59 @@ struct NodeEngine::RunningQuery {
   // chain over `*batch`, or end-of-stream when `batch` is null — runs
   // inline without a pool, else as a task on `t`'s strand. Strand FIFO
   // order makes end-of-stream safe: every batch for the target was posted
-  // before it, so Finish observes the complete stream. Data hand-offs feed
-  // the strand instruments: queued depth on post/run and post→run wait
-  // (zeros inline, where nothing ever queues — so the instruments exist
-  // and read 0 at one worker, matching the multi-worker metric names).
+  // before it, so Finish observes the complete stream. Hand-offs feed the
+  // strand instruments: every task counts in the queued depth from post
+  // to run, and data tasks record their post→run wait (zeros inline,
+  // where nothing ever queues — so the instruments exist and read 0 at
+  // one worker, matching the multi-worker metric names).
   Status Post(Target* t, const exec::Batch* batch) {
     const bool timed = metrics_on && batch != nullptr;
     if (!pool) {
       if (timed) t->task_wait->Record(0);
       return Run(t, batch);
     }
-    int64_t posted_at = 0;
-    if (timed) {
-      posted_at = MonotonicNowMicros();
-      const int64_t d = t->depth->fetch_add(1, std::memory_order_relaxed) + 1;
-      t->queue_depth->Set(static_cast<double>(d));
-    }
+    const int64_t posted_at = timed ? MonotonicNowMicros() : 0;
+    if (metrics_on) t->depth->fetch_add(1, std::memory_order_relaxed);
     std::optional<exec::Batch> task_batch;
     if (batch != nullptr) task_batch = *batch;
-    t->strand->Post([this, t, task_batch = std::move(task_batch), timed,
-                     posted_at] {
-      if (timed) {
-        t->task_wait->Record(MonotonicNowMicros() - posted_at);
-        const int64_t d =
-            t->depth->fetch_sub(1, std::memory_order_relaxed) - 1;
-        t->queue_depth->Set(static_cast<double>(d));
-      }
-      // Cancelled queries drop queued morsels: cancel is not
-      // end-of-stream, so no further state should be built (the drain
-      // that follows only retires the captures).
-      if (failed.load(std::memory_order_relaxed) ||
-          cancel.load(std::memory_order_relaxed)) {
-        return;
-      }
-      (void)Run(t, task_batch ? &*task_batch : nullptr);
-    });
+    const bool kept_all = t->strand->Post(
+        [this, t, task_batch = std::move(task_batch), timed, posted_at] {
+          if (timed) t->task_wait->Record(MonotonicNowMicros() - posted_at);
+          if (metrics_on) t->depth->fetch_sub(1, std::memory_order_relaxed);
+          // Cancelled queries drop queued morsels: cancel is not
+          // end-of-stream, so no further state should be built (the drain
+          // that follows only retires the captures).
+          if (failed.load(std::memory_order_relaxed) ||
+              cancel.load(std::memory_order_relaxed)) {
+            return;
+          }
+          (void)Run(t, task_batch ? &*task_batch : nullptr);
+        });
+    // A shed task — this one refused, or the strand's oldest evicted —
+    // never runs its decrement, so the post takes it back here. Both are
+    // `t`'s tasks, so `t`'s count is the right one either way.
+    if (metrics_on && !kept_all) {
+      t->depth->fetch_sub(1, std::memory_order_relaxed);
+    }
     return Status::OK();
+  }
+
+  // Publishes every target's queued-task count into its `queue_depth`
+  // gauge. The count moves on each post, run and shed; the gauge moves
+  // only when the metrics are read, so it always shows a count the
+  // strand really had.
+  static void PublishDepth(const Target& t) {
+    t.queue_depth->Set(
+        static_cast<double>(t.depth->load(std::memory_order_relaxed)));
+    for (const auto& branch : t.branches) PublishDepth(*branch);
+    for (const auto& part : t.partitions) PublishDepth(*part);
+  }
+
+  void PublishDepths() NM_EXCLUDES(dyn_mutex) {
+    PublishDepth(root);
+    MutexLock lock(dyn_mutex);
+    for (const auto& br : dyn_branches) PublishDepth(br->target);
+    for (const auto& br : retired_dyn) PublishDepth(br->target);
   }
 
   // Runs one unit of `t`'s work on the calling thread, with the one error
@@ -575,6 +553,31 @@ struct NodeEngine::RunningQuery {
     return Status::OK();
   }
 
+  // Read-time rates: the ingest/emit counter deltas since the previous
+  // read, divided by the window since then. The first window starts at
+  // `Start`; a finished query's window ends at its finish time, so an
+  // empty window (a read before `Start`, a re-read after the finish)
+  // leaves the gauges as they were.
+  void PublishRates() NM_EXCLUDES(rate_mutex) {
+    const int64_t begun = started_at.load();
+    if (begun == 0) return;
+    MutexLock lock(rate_mutex);
+    // `finished` is stored after `finished_at` and after the last counter
+    // update, so a finished query's window and counters are final.
+    const int64_t end =
+        finished.load() ? finished_at.load() : MonotonicNowMicros();
+    const int64_t start = rate_window_start != 0 ? rate_window_start : begun;
+    if (end <= start) return;
+    const uint64_t in = m_events_ingested->value();
+    const uint64_t out = m_events_emitted->value();
+    const double secs = static_cast<double>(end - start) / 1e6;
+    m_ingest_rate->Set(static_cast<double>(in - rate_last_in) / secs);
+    m_emit_rate->Set(static_cast<double>(out - rate_last_out) / secs);
+    rate_window_start = end;
+    rate_last_in = in;
+    rate_last_out = out;
+  }
+
   // Counters every view of the query shares: ingest, wall time, pooled
   // buffers and shed morsels.
   QueryStats HostStats() const {
@@ -739,7 +742,6 @@ Result<int> NodeEngine::Install(std::unique_ptr<RunningQuery> rq,
     rq->m_bytes_emitted = rq->metrics->GetCounter("engine.bytes_emitted");
     rq->m_ingest_rate = rq->metrics->GetGauge("engine.ingest_events_per_sec");
     rq->m_emit_rate = rq->metrics->GetGauge("engine.emit_events_per_sec");
-    rq->m_samples = rq->metrics->GetCounter("engine.metric_samples");
   }
   rq->BindTargets(&rq->root, &rq->pipeline);
   MutexLock lock(mutex_);
@@ -916,13 +918,13 @@ Result<QueryPlanText> NodeEngine::Explain(int query_id) const {
   return rq->plan_text;
 }
 
-void NodeEngine::SourceLoop(RunningQuery* rq) {
-  // Pipelined mode: fill buffers and hand them to the processing thread.
-  while (!rq->cancel.load()) {
+void NodeEngine::RunLoop(RunningQuery* rq) {
+  Status status = Status::OK();
+  while (!rq->cancel.load() && !rq->failed.load(std::memory_order_relaxed)) {
     TupleBufferPtr buf = rq->ctx->Allocate(rq->source->schema());
     auto more = rq->source->Fill(buf.get());
     if (!more.ok()) {
-      rq->source_status = more.status();
+      status = more.status();
       break;
     }
     rq->events_ingested.fetch_add(buf->size());
@@ -933,52 +935,10 @@ void NodeEngine::SourceLoop(RunningQuery* rq) {
     }
     if (!buf->empty()) {
       buf->Seal();
-      rq->queue->Push(std::move(buf));
+      status = rq->PushThrough(&rq->root, 0, exec::Batch(std::move(buf)));
+      if (!status.ok()) break;
     }
     if (!*more) break;
-  }
-  rq->queue->Close();
-}
-
-void NodeEngine::RunLoop(RunningQuery* rq) {
-  Status status = Status::OK();
-  if (options_.pipelined) {
-    while (true) {
-      TupleBufferPtr buf = rq->queue->Pop();
-      if (!buf) break;
-      status = rq->PushThrough(&rq->root, 0, exec::Batch(std::move(buf)));
-      if (!status.ok() || rq->cancel.load() ||
-          rq->failed.load(std::memory_order_relaxed)) {
-        break;
-      }
-    }
-    // The queue only closes after the source thread recorded its status.
-    if (status.ok() && !rq->source_status.ok()) {
-      status = rq->source_status;
-    }
-  } else {
-    while (!rq->cancel.load() &&
-           !rq->failed.load(std::memory_order_relaxed)) {
-      TupleBufferPtr buf = rq->ctx->Allocate(rq->source->schema());
-      auto more = rq->source->Fill(buf.get());
-      if (!more.ok()) {
-        status = more.status();
-        break;
-      }
-      rq->events_ingested.fetch_add(buf->size());
-      rq->bytes_ingested.fetch_add(buf->SizeBytes());
-      if (rq->metrics_on) {
-        rq->m_events_ingested->Add(buf->size());
-        rq->m_bytes_ingested->Add(buf->SizeBytes());
-      }
-      if (!buf->empty()) {
-        buf->Seal();
-        status =
-            rq->PushThrough(&rq->root, 0, exec::Batch(std::move(buf)));
-        if (!status.ok()) break;
-      }
-      if (!*more) break;
-    }
   }
   // Cancellation is not end-of-stream: a cancelled query must not flush
   // its window/CEP state as if the stream completed, so the finish cascade is
@@ -990,9 +950,6 @@ void NodeEngine::RunLoop(RunningQuery* rq) {
   // on cancellation this is what keeps in-flight strand tasks from
   // touching operator state after teardown began.
   if (rq->pool) rq->pool->Drain();
-  // Final sample covers the tail window, then the sampler thread joins —
-  // after this no thread but the caller touches the rate gauges.
-  if (rq->sampler) rq->sampler->Stop();
   // Ingest/finish errors join the same all-errors model the strand tasks
   // record into, so the reported status is uniformly "first root cause,
   // tagged with its task path, plus a secondary-error count".
@@ -1013,39 +970,14 @@ Status NodeEngine::Start(int query_id) {
   }
   rq->started_at.store(MonotonicNowMicros());
   if (worker_threads_ > 1) {
-    // Strand capacity = the pipelined hand-off depth: the ingest thread
-    // blocks once a target falls that many sealed batches behind
-    // (worker-side posts never block — see worker_pool.hpp). Created
-    // under dyn_mutex so a concurrent AttachBranch either sees the pool
-    // (and makes its own strand) or is seen here (and gets one).
+    // The ingest thread blocks (or sheds) once a target falls
+    // kStrandCapacity sealed batches behind. Created under dyn_mutex so a
+    // concurrent AttachBranch either sees the pool (and makes its own
+    // strand) or is seen here (and gets one).
     MutexLock lock(rq->dyn_mutex);
-    rq->pool = std::make_unique<WorkerPool>(worker_threads_,
-                                            options_.queue_capacity,
+    rq->pool = std::make_unique<WorkerPool>(worker_threads_, kStrandCapacity,
                                             options_.faults.retry.shed_policy);
     NM_RETURN_NOT_OK(rq->MakeStrands());
-  }
-  if (options_.pipelined) {
-    rq->queue = std::make_unique<BoundedQueue>(options_.queue_capacity);
-    rq->source_thread = std::thread([this, rq] { SourceLoop(rq); });
-  }
-  if (rq->metrics_on && options_.metrics_interval > 0) {
-    // Windowed rates: each tick divides the counter delta since the last
-    // tick by the elapsed window, so a long-running query's gauges track
-    // the *current* throughput instead of the lifetime average.
-    rq->sampler = std::make_unique<metrics::Sampler>(
-        options_.metrics_interval,
-        [rq, last_in = uint64_t{0},
-         last_out = uint64_t{0}](int64_t elapsed_micros) mutable {
-          if (elapsed_micros <= 0) return;
-          const double secs = static_cast<double>(elapsed_micros) / 1e6;
-          const uint64_t in = rq->m_events_ingested->value();
-          const uint64_t out = rq->m_events_emitted->value();
-          rq->m_ingest_rate->Set(static_cast<double>(in - last_in) / secs);
-          rq->m_emit_rate->Set(static_cast<double>(out - last_out) / secs);
-          last_in = in;
-          last_out = out;
-          rq->m_samples->Increment();
-        });
   }
   rq->worker = std::thread([this, rq] { RunLoop(rq); });
   return Status::OK();
@@ -1056,7 +988,6 @@ Status NodeEngine::Wait(int query_id) {
   if (!rq->started.load()) {
     return Status::FailedPrecondition("query not started");
   }
-  if (rq->source_thread.joinable()) rq->source_thread.join();
   if (rq->worker.joinable()) rq->worker.join();
   return rq->run_status;
 }
@@ -1064,7 +995,6 @@ Status NodeEngine::Wait(int query_id) {
 Status NodeEngine::Cancel(int query_id) {
   NM_ASSIGN_OR_RETURN(RunningQuery * rq, Find(query_id));
   rq->cancel.store(true);
-  if (rq->queue) rq->queue->Close();
   if (!rq->started.load()) return Status::OK();
   return Wait(query_id);
 }
@@ -1087,11 +1017,13 @@ Result<QueryStats> NodeEngine::Stats(int query_id) const {
 }
 
 Result<metrics::MetricsSnapshot> NodeEngine::Metrics(int query_id) const {
-  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(query_id));
+  NM_ASSIGN_OR_RETURN(RunningQuery * rq, Find(query_id));
   if (!rq->metrics) {
     return Status::FailedPrecondition(
         "metrics disabled (EngineOptions::metrics_enabled = false)");
   }
+  rq->PublishRates();
+  rq->PublishDepths();
   return rq->metrics->Snapshot();
 }
 

@@ -3,12 +3,11 @@
 ///
 /// Each submitted query compiles into one fused pipeline tree (source →
 /// operator chain → sink, or → fan-out → branch pipelines). Execution is
-/// pull-based: the query's worker thread fills a buffer from the source,
+/// pull-based: the query's run thread fills a buffer from the source,
 /// seals it, and pushes it through the chain as a *batch* (buffer +
 /// selection vector, exec/batch.hpp) without intermediate queueing —
-/// NebulaStream's pipeline model. An optional *pipelined* mode decouples
-/// source and processing onto two threads with a bounded hand-off queue
-/// (backpressure). Multiple queries run concurrently on their own threads.
+/// NebulaStream's pipeline model. Multiple queries run concurrently, each
+/// on its own run thread.
 ///
 /// Every pipeline a sealed batch is handed to is a *dispatch target*: a
 /// static fan-out branch, a key-partition clone, or a branch attached at
@@ -101,8 +100,6 @@ struct QueryStats {
 struct EngineOptions {
   size_t tuples_per_buffer = 1024;  ///< records per buffer
   size_t pool_size = 128;           ///< buffers per schema pool
-  bool pipelined = false;           ///< source and pipeline on two threads
-  size_t queue_capacity = 8;        ///< hand-off queue depth (pipelined)
   /// Workers in the morsel-driven pool. 1 executes every query on its own
   /// single thread (the historical behavior); N > 1 runs fan-out branches
   /// concurrently and hash-partitions qualifying keyed stateful suffixes
@@ -131,17 +128,12 @@ struct EngineOptions {
   /// Always-on observability (docs/ARCHITECTURE.md "Observability"): each
   /// query owns a `metrics::MetricsRegistry` with per-operator latency and
   /// batch-size histograms, per-channel wire counters, per-strand queue
-  /// depth/task-wait instruments and engine-level flow counters, read via
-  /// `NodeEngine::Metrics`. The record path is relaxed-atomic and cheap
-  /// (the bench gate holds measured overhead under 5%); false disables
-  /// every instrument for exact A/B comparisons.
+  /// depth/task-wait instruments, engine-level flow counters and the
+  /// ingest/emit rate gauges, read via `NodeEngine::Metrics`. The record
+  /// path is relaxed-atomic and cheap (the bench gate holds measured
+  /// overhead under 5%); false disables every instrument for exact A/B
+  /// comparisons.
   bool metrics_enabled = true;
-  /// When > 0, each running query starts a sampler thread firing at this
-  /// interval: every tick derives windowed ingest/emit throughput gauges
-  /// (`engine.ingest_events_per_sec` / `engine.emit_events_per_sec`) and
-  /// bumps `engine.metric_samples`, so a live snapshot carries *current*
-  /// rates. 0 (the default) records no rates and starts no thread.
-  Duration metrics_interval = 0;
   /// Fault tolerance (docs/ARCHITECTURE.md "Fault model & recovery"):
   /// `faults.profile` is injected on every lowered network channel
   /// (combined with the per-link `TopologyLink::fault` profiles along its
@@ -231,7 +223,9 @@ class NodeEngine {
   /// running (fault isolation). `NotFound` for ids never attached.
   Status BranchStatus(int host_id, int branch_id) const;
 
-  /// Starts the query's worker thread(s).
+  /// Starts the query: one run thread that fills, seals and pushes the
+  /// source's buffers, plus — with `worker_threads` N > 1 — the query's
+  /// pool of N workers serving its dispatch targets' strands.
   Status Start(int query_id);
 
   /// Blocks until the query's source is exhausted and the pipeline flushed.
@@ -256,6 +250,12 @@ class NodeEngine {
   /// counts: operators key by DAG path (fused kernel stages under their
   /// original chained names), strand instruments by dispatch-target path
   /// (partition clones share their segment's path and its instruments).
+  /// Each read first refreshes the read-time gauges: every
+  /// `worker.strand.*.queue_depth` to its strand's queued-task count, and
+  /// `engine.ingest_events_per_sec` / `engine.emit_events_per_sec` to the
+  /// counter deltas since this query's previous read, per second of that
+  /// window (the first window starts at `Start`; a finished query's ends
+  /// at its finish). An empty window leaves both rates as they were.
   Result<metrics::MetricsSnapshot> Metrics(int query_id) const;
 
   /// The query's plan renderings (pre- and post-optimization), captured at
@@ -277,7 +277,6 @@ class NodeEngine {
   struct RunningQuery;
 
   void RunLoop(RunningQuery* rq);
-  void SourceLoop(RunningQuery* rq);
 
   Result<RunningQuery*> Find(int query_id) const;
   /// Verifies (verify-each) and compiles \p plan into `rq->pipeline`.

@@ -26,11 +26,11 @@ std::unique_ptr<WorkerPool::Strand> WorkerPool::MakeStrand() {
   return std::unique_ptr<Strand>(new Strand(this));
 }
 
-void WorkerPool::Strand::Post(std::function<void()> task) {
-  pool_->Post(this, std::move(task));
+bool WorkerPool::Strand::Post(std::function<void()> task) {
+  return pool_->Post(this, std::move(task));
 }
 
-void WorkerPool::Post(Strand* strand, std::function<void()> task) {
+bool WorkerPool::Post(Strand* strand, std::function<void()> task) {
   // Destroyed after the lock releases: shedding the oldest morsel drops
   // its captured buffer handles, whose recycling must not run under the
   // pool mutex.
@@ -46,13 +46,13 @@ void WorkerPool::Post(Strand* strand, std::function<void()> task) {
     } else if (strand->tasks_.size() >= strand_capacity_ && !stop_) {
       // Degradation instead of backpressure: make room by policy.
       tasks_shed_.fetch_add(1, std::memory_order_relaxed);
-      if (shed_policy_ == ShedPolicy::kDropLate) return;
+      if (shed_policy_ == ShedPolicy::kDropLate) return false;
       shed = std::move(strand->tasks_.front());  // kDropOldest
       strand->tasks_.pop_front();
       if (--pending_ == 0) drained_cv_.NotifyAll();
     }
   }
-  if (stop_) return;
+  if (stop_) return false;
   strand->tasks_.push_back(std::move(task));
   ++pending_;
   if (!strand->scheduled_) {
@@ -60,6 +60,7 @@ void WorkerPool::Post(Strand* strand, std::function<void()> task) {
     ready_.push_back(strand);
     ready_cv_.NotifyOne();
   }
+  return shed == nullptr;
 }
 
 void WorkerPool::Drain() {

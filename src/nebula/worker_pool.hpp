@@ -56,7 +56,11 @@ class WorkerPool {
     /// Enqueues \p task. Blocks while the strand is at capacity, unless
     /// the caller is itself a pool worker (worker posts never block).
     /// Tasks posted after the pool started shutting down are dropped.
-    void Post(std::function<void()> task);
+    /// Returns false when the post discarded one of this strand's morsels
+    /// unrun: \p task itself (refused by `kDropLate`, or posted during
+    /// shutdown) or the oldest queued one (evicted by `kDropOldest`).
+    /// Either way the strand's queue grew by one task less than posted.
+    bool Post(std::function<void()> task);
 
    private:
     friend class WorkerPool;
@@ -100,7 +104,7 @@ class WorkerPool {
   }
 
  private:
-  void Post(Strand* strand, std::function<void()> task) NM_EXCLUDES(mutex_);
+  bool Post(Strand* strand, std::function<void()> task) NM_EXCLUDES(mutex_);
   void WorkerMain() NM_EXCLUDES(mutex_);
 
   mutable Mutex mutex_;

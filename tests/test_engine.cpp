@@ -1,6 +1,6 @@
 // End-to-end engine tests: query API, plan emission and compilation,
-// operators through the NodeEngine, pipelined mode, cancellation,
-// statistics, plan introspection.
+// operators through the NodeEngine, cancellation, statistics, plan
+// introspection.
 
 #include <gtest/gtest.h>
 
@@ -234,19 +234,6 @@ TEST(Engine, MultipleRoundsRepeatData) {
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(engine.RunToCompletion(*id).ok());
   EXPECT_EQ(sink->events(), 30u);
-}
-
-TEST(Engine, PipelinedModeMatchesSynchronous) {
-  EngineOptions opts;
-  opts.pipelined = true;
-  NodeEngine engine(opts);
-  auto sink = std::make_shared<CollectSink>(EventSchema());
-  auto id = engine.Submit(Query::From(MakeSource(50))
-                              .Filter(Lt(Attribute("value"), Lit(25.0)))
-                              .To(sink));
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(engine.RunToCompletion(*id).ok());
-  EXPECT_EQ(sink->RowCount(), 25u);
 }
 
 TEST(Engine, GeneratorSourceUnboundedWithMax) {

@@ -65,23 +65,6 @@ TEST(EngineFailures, SourceErrorPropagatesFromWait) {
   SetLogLevel(LogLevel::kWarn);
 }
 
-TEST(EngineFailures, SourceErrorPropagatesInPipelinedMode) {
-  SetLogLevel(LogLevel::kOff);
-  EngineOptions options;
-  options.pipelined = true;
-  NodeEngine engine(options);
-  auto sink = std::make_shared<CountingSink>(EventSchema());
-  auto id = engine.Submit(
-      Query::From(std::make_unique<FailingSource>(EventSchema(), 100))
-          .To(sink));
-  ASSERT_TRUE(id.ok());
-  // The pipelined source thread hits the error; the pipeline drains what
-  // arrived and the error surfaces from Wait.
-  const Status status = engine.RunToCompletion(*id);
-  EXPECT_FALSE(status.ok());
-  SetLogLevel(LogLevel::kWarn);
-}
-
 TEST(EngineFailures, CsvSourceRejectsMalformedRows) {
   const std::string path = "/tmp/nm_bad_csv_test.csv";
   FILE* f = std::fopen(path.c_str(), "w");

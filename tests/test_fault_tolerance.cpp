@@ -5,15 +5,17 @@
 // against fault-free references (reorder, duplicates, env-configured
 // profiles, no spurious retransmits), watermark monotonicity through the
 // repair path, stateful-operator late-record guards, and worker-pool
-// morsel shedding.
+// morsel shedding with its strand queue-depth accounting.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
+#include <thread>
 
 #include "common/logging.hpp"
 #include "nebula/engine.hpp"
@@ -709,8 +711,8 @@ TEST(WorkerPoolShedding, DropLateRefusesNewMorsels) {
   std::atomic<int> ran{0};
   strand->Post([&] { gate.Enter(); });
   gate.AwaitEntered();  // worker busy, queue empty
-  strand->Post([&] { ran += 1; });    // queued (size 1 = capacity)
-  strand->Post([&] { ran += 100; });  // refused
+  EXPECT_TRUE(strand->Post([&] { ran += 1; }));  // queued (1 = capacity)
+  EXPECT_FALSE(strand->Post([&] { ran += 100; }));  // refused
   gate.Release();
   pool.Drain();
   EXPECT_EQ(ran.load(), 1);
@@ -724,8 +726,8 @@ TEST(WorkerPoolShedding, DropOldestEvictsQueuedMorsel) {
   std::atomic<int> ran{0};
   strand->Post([&] { gate.Enter(); });
   gate.AwaitEntered();
-  strand->Post([&] { ran += 1; });    // queued, then evicted below
-  strand->Post([&] { ran += 100; });  // evicts the previous morsel
+  EXPECT_TRUE(strand->Post([&] { ran += 1; }));  // queued, evicted below
+  EXPECT_FALSE(strand->Post([&] { ran += 100; }));  // evicts the previous
   gate.Release();
   pool.Drain();
   EXPECT_EQ(ran.load(), 100);
@@ -742,6 +744,57 @@ TEST(WorkerPoolShedding, BlockPolicyShedsNothing) {
   pool.Drain();
   EXPECT_EQ(ran.load(), 64);
   EXPECT_EQ(pool.tasks_shed(), 0u);
+}
+
+// A sink that takes 500 µs per batch, so an ingest thread feeding it
+// 4-row buffers keeps its strand saturated.
+class SlowSink : public SinkOperator {
+ public:
+  explicit SlowSink(Schema schema) : SinkOperator(std::move(schema)) {}
+  std::string name() const override { return "SlowSink"; }
+
+ protected:
+  Status Consume(const exec::Batch&) override {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    return Status::OK();
+  }
+};
+
+// A shed morsel never runs, so the post that shed it must take back the
+// queue-depth count it added: after the drain every strand gauge reads 0
+// under both shed policies, however many morsels were shed.
+TEST(EngineShedding, ShedMorselsLeaveNoQueueDepthBehind) {
+  for (const ShedPolicy policy :
+       {ShedPolicy::kDropLate, ShedPolicy::kDropOldest}) {
+    EngineOptions options;
+    options.worker_threads = 2;
+    options.tuples_per_buffer = 4;
+    options.faults.retry.shed_policy = policy;
+    NodeEngine engine(options);
+    SplitQuery split =
+        Query::From(std::make_unique<MemorySource>(EventSchema(),
+                                                   MakeRows(4000), 1, "ts"))
+            .Split(2);
+    std::move(split[0]).To(std::make_shared<CountingSink>(EventSchema()));
+    std::move(split[1]).To(std::make_shared<SlowSink>(EventSchema()));
+    auto plan = std::move(split).Build();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto id = engine.Submit(std::move(*plan));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_TRUE(engine.RunToCompletion(*id).ok());
+    auto stats = engine.Stats(*id);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_GT(stats->tasks_shed, 0u) << ToString(policy);
+    auto snap = engine.Metrics(*id);
+    ASSERT_TRUE(snap.ok());
+    size_t gauges = 0;
+    for (const auto& [name, depth] : snap->gauges) {
+      if (name.rfind("worker.strand.", 0) != 0) continue;
+      ++gauges;
+      EXPECT_EQ(depth, 0.0) << name << " policy " << ToString(policy);
+    }
+    EXPECT_EQ(gauges, 3u);  // root, 0 and 1
+  }
 }
 
 }  // namespace

@@ -1,20 +1,21 @@
 // Tests for the metrics subsystem (src/nebula/metrics): instrument
 // semantics, power-of-two histogram bucketing and percentile math,
-// registry snapshot value-copy isolation, exports, the sampler thread
-// lifecycle, and a multi-threaded record/snapshot torture test that the
-// CI `sanitize-thread` job runs under TSan as the subsystem's race gate.
+// registry snapshot value-copy isolation, exports, the engine's read-time
+// ingest/emit rate gauges, and multi-threaded record/snapshot and
+// concurrent-reader torture tests that the CI `sanitize-thread` job runs
+// under TSan as the subsystem's race gate.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "common/time.hpp"
+#include "nebula/engine.hpp"
 #include "nebula/metrics/metrics.hpp"
-#include "nebula/metrics/sampler.hpp"
 
 namespace nebulameos::nebula::metrics {
 namespace {
@@ -193,30 +194,117 @@ TEST(MetricsExportTest, PrometheusTextSanitizesNames) {
   EXPECT_NE(text.find("quantile=\"0.5\""), std::string::npos);
 }
 
-TEST(MetricsSamplerTest, TicksAndStopsIdempotently) {
-  std::atomic<int> fired{0};
-  std::atomic<int64_t> last_elapsed{0};
-  Sampler sampler(Millis(5), [&](int64_t elapsed_micros) {
-    last_elapsed.store(elapsed_micros);
-    fired.fetch_add(1);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  sampler.Stop();
-  sampler.Stop();  // second stop is a no-op
-  // Stop always fires one final tick, so at least one fired even on a
-  // heavily loaded machine, and the counter matches the callback count.
-  EXPECT_GE(fired.load(), 1);
-  EXPECT_EQ(static_cast<int>(sampler.ticks()), fired.load());
-  EXPECT_GE(last_elapsed.load(), 0);
+// --- Read-time rate gauges (NodeEngine::Metrics) ----------------------
+
+Schema RateSchema() {
+  return Schema::Build()
+      .AddInt64("key")
+      .AddTimestamp("ts")
+      .AddDouble("value")
+      .Finish();
 }
 
-TEST(MetricsSamplerTest, StopWithoutTickWindowStillFiresFinalTick) {
-  std::atomic<int> fired{0};
-  {
-    Sampler sampler(Seconds(3600), [&](int64_t) { fired.fetch_add(1); });
-    sampler.Stop();
+// Fans `rounds` repetitions of `n` rows out to two counting sinks, so
+// every row is emitted twice and, at N > 1 workers, both branches run on
+// strands.
+Result<int> SubmitFanOut(NodeEngine* engine, int n, size_t rounds) {
+  std::vector<std::vector<Value>> rows;
+  for (int i = 0; i < n; ++i) {
+    std::vector<Value>& row = rows.emplace_back();
+    row.emplace_back(int64_t{i % 7});
+    row.emplace_back(Seconds(i));
+    row.emplace_back(static_cast<double>(i));
   }
-  EXPECT_EQ(fired.load(), 1);
+  SplitQuery split = Query::From(std::make_unique<MemorySource>(
+                                     RateSchema(), std::move(rows), rounds,
+                                     "ts"))
+                         .Split(2);
+  std::move(split[0]).To(std::make_shared<CountingSink>(RateSchema()));
+  std::move(split[1]).To(std::make_shared<CountingSink>(RateSchema()));
+  NM_ASSIGN_OR_RETURN(LogicalPlan plan, std::move(split).Build());
+  return engine->Submit(std::move(plan));
+}
+
+TEST(MetricsRateTest, FirstReadAfterRunCoversTheWholeRun) {
+  NodeEngine engine;
+  auto id = SubmitFanOut(&engine, 2000, 10);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  // Before Start there is no window: the gauges keep their initial 0.
+  auto before = engine.Metrics(*id);
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before->gauges.at("engine.ingest_events_per_sec"), 0.0);
+  ASSERT_TRUE(engine.RunToCompletion(*id).ok());
+  auto stats = engine.Stats(*id);
+  ASSERT_TRUE(stats.ok());
+  ASSERT_GT(stats->elapsed_micros, 0);
+  EXPECT_EQ(stats->events_emitted, 2 * stats->events_ingested);
+
+  // The first read's window runs from Start to the finish, so its rates
+  // are the run's lifetime averages.
+  auto first = engine.Metrics(*id);
+  ASSERT_TRUE(first.ok());
+  const double ingest = first->gauges.at("engine.ingest_events_per_sec");
+  const double emit = first->gauges.at("engine.emit_events_per_sec");
+  const double eps = stats->EventsPerSecond();
+  EXPECT_GT(eps, 0.0);
+  EXPECT_NEAR(ingest, eps, 1e-9 * eps);
+  const double emit_eps = static_cast<double>(stats->events_emitted) /
+                          (static_cast<double>(stats->elapsed_micros) / 1e6);
+  EXPECT_NEAR(emit, emit_eps, 1e-9 * emit_eps);
+
+  // The window closed at the finish: a second read finds it empty and
+  // leaves both gauges as they were.
+  auto second = engine.Metrics(*id);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->gauges.at("engine.ingest_events_per_sec"), ingest);
+  EXPECT_EQ(second->gauges.at("engine.emit_events_per_sec"), emit);
+}
+
+// Two threads read the metrics in a loop while a 4-worker query runs:
+// the per-query rate mutex serializes their window updates (the TSan job
+// runs this suite), and every published rate is finite and non-negative.
+TEST(MetricsRateTest, ConcurrentReadersWhileFourWorkersRun) {
+  EngineOptions options;
+  options.worker_threads = 4;
+  NodeEngine engine(options);
+  auto id = SubmitFanOut(&engine, 2000, 100);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(engine.Start(*id).ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> reads{0};
+  std::atomic<int> bad{0};
+  auto reader = [&] {
+    do {
+      auto snap = engine.Metrics(*id);
+      if (!snap.ok()) {
+        bad.fetch_add(1);
+        continue;
+      }
+      for (const char* name :
+           {"engine.ingest_events_per_sec", "engine.emit_events_per_sec"}) {
+        const double rate = snap->gauges.at(name);
+        if (!std::isfinite(rate) || rate < 0.0) bad.fetch_add(1);
+      }
+      reads.fetch_add(1);
+    } while (!done.load());
+  };
+  std::thread a(reader);
+  std::thread b(reader);
+  const Status status = engine.Wait(*id);
+  done.store(true);
+  a.join();
+  b.join();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GE(reads.load(), 2);
+  auto stats = engine.Stats(*id);
+  auto snap = engine.Metrics(*id);
+  ASSERT_TRUE(stats.ok());
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(snap->counters.at("engine.events_ingested"),
+            stats->events_ingested);
+  EXPECT_EQ(snap->counters.at("engine.events_emitted"),
+            stats->events_emitted);
 }
 
 // The race gate: four writers hammer one histogram/counter pair through
