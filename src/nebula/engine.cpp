@@ -312,7 +312,8 @@ struct NodeEngine::RunningQuery {
   // chain over `*batch`, or end-of-stream when `batch` is null — runs
   // inline without a pool, else as a task on `t`'s strand. Strand FIFO
   // order makes end-of-stream safe: every batch for the target was posted
-  // before it, so Finish observes the complete stream. Hand-offs feed the
+  // before it, so Finish observes the complete stream. End-of-stream is
+  // never shed: it waits for room on a full strand. Hand-offs feed the
   // strand instruments: every task counts in the queued depth from post
   // to run, and data tasks record their post→run wait (zeros inline,
   // where nothing ever queues — so the instruments exist and read 0 at
@@ -339,7 +340,8 @@ struct NodeEngine::RunningQuery {
             return;
           }
           (void)Run(t, task_batch ? &*task_batch : nullptr);
-        });
+        },
+        /*sheddable=*/batch != nullptr);
     // A shed task — this one refused, or the strand's oldest evicted —
     // never runs its decrement, so the post takes it back here. Both are
     // `t`'s tasks, so `t`'s count is the right one either way.

@@ -130,15 +130,16 @@ struct EngineOptions {
   /// batch-size histograms, per-channel wire counters, per-strand queue
   /// depth/task-wait instruments, engine-level flow counters and the
   /// ingest/emit rate gauges, read via `NodeEngine::Metrics`. The record
-  /// path is relaxed-atomic and cheap (the bench gate holds measured
-  /// overhead under 5%); false disables every instrument for exact A/B
-  /// comparisons.
+  /// path is relaxed-atomic and cheap (the T1 bench reports the measured
+  /// overhead as a trend; nothing gates it); false disables every
+  /// instrument for exact A/B comparisons.
   bool metrics_enabled = true;
   /// Fault tolerance (docs/ARCHITECTURE.md "Fault model & recovery"):
   /// `faults.profile` is injected on every lowered network channel
   /// (combined with the per-link `TopologyLink::fault` profiles along its
   /// route), `faults.retry` configures each channel pair's retransmit
-  /// queue, backoff and reorder-repair buffer. The `NM_FAULT_PROFILE`
+  /// queue, attempt cap and backoff, and the shed policy of both the
+  /// retransmit queue and the worker strands. The `NM_FAULT_PROFILE`
   /// environment variable, when set, overrides `faults.profile` at engine
   /// construction — the CI fault-injection gate's whole-suite switch; a
   /// malformed value makes every submission fail with `InvalidArgument`.
@@ -266,8 +267,8 @@ class NodeEngine {
   /// traffic (valid after Wait; in-flight reads see the traffic so far).
   /// A query compiled without placement (or without a topology) has no
   /// channels and reports zero traffic — the whole pipeline ran on one
-  /// node. Replaces the post-hoc `SimulateDeployment` pricing for placed
-  /// plans.
+  /// node. This is the only deployment report: a placement is judged by
+  /// running it.
   Result<DeploymentReport> Deployment(int query_id) const;
 
   /// Number of registered queries.

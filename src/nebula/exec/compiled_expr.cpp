@@ -441,7 +441,7 @@ class ScalarFnKernel final : public ScalarKernel {
   mutable std::vector<double> row_args_;
 };
 
-// --- Cross-stage computed-column cache (kernel-level CSE) -------------------
+// --- Cross-stage computed-column cache (CSE in fused runs) ------------------
 
 // Caches by *physical* row index: the compute path scatters results through
 // the span's selection so that a later stage's refined selection — a subset
@@ -449,7 +449,7 @@ class ScalarFnKernel final : public ScalarKernel {
 // would produce. Element width follows the inner kernel's native type.
 class ColumnCacheKernel final : public ScalarKernel {
  public:
-  ColumnCacheKernel(std::shared_ptr<ColumnCache> cache, size_t slot,
+  ColumnCacheKernel(std::shared_ptr<CseCache> cache, size_t slot,
                     KernelPtr inner)
       : ScalarKernel(inner->type()),
         cache_(std::move(cache)),
@@ -475,9 +475,9 @@ class ColumnCacheKernel final : public ScalarKernel {
  private:
   template <typename T, typename Compute>
   void Eval(const RowSpan& rows, T* out, const Compute& compute) const {
-    ColumnCache::Slot& slot = cache_->slot(slot_);
+    CseCache::Slot& slot = cache_->slot(slot_);
     if (slot.epoch == cache_->epoch()) {
-      const T* col = reinterpret_cast<const T*>(slot.data.data());
+      const T* col = reinterpret_cast<const T*>(slot.column.data());
       for (size_t i = 0; i < rows.count; ++i) {
         out[i] = col[rows.sel != nullptr ? rows.sel[i] : i];
       }
@@ -491,25 +491,25 @@ class ColumnCacheKernel final : public ScalarKernel {
         max_phys = std::max<size_t>(max_phys, rows.sel[i] + 1);
       }
     }
-    if (slot.data.size() < max_phys * sizeof(T)) {
-      slot.data.resize(max_phys * sizeof(T));
+    if (slot.column.size() < max_phys * sizeof(T)) {
+      slot.column.resize(max_phys * sizeof(T));
     }
-    T* col = reinterpret_cast<T*>(slot.data.data());
+    T* col = reinterpret_cast<T*>(slot.column.data());
     for (size_t i = 0; i < rows.count; ++i) {
       col[rows.sel != nullptr ? rows.sel[i] : i] = out[i];
     }
     slot.epoch = cache_->epoch();
   }
 
-  std::shared_ptr<ColumnCache> cache_;
+  std::shared_ptr<CseCache> cache_;
   size_t slot_;
   KernelPtr inner_;
 };
 
 }  // namespace
 
-KernelPtr MakeColumnCacheKernel(std::shared_ptr<ColumnCache> cache,
-                                size_t slot, KernelPtr inner) {
+KernelPtr MakeColumnCacheKernel(std::shared_ptr<CseCache> cache, size_t slot,
+                                KernelPtr inner) {
   if (inner == nullptr) return nullptr;
   return std::make_unique<ColumnCacheKernel>(std::move(cache), slot,
                                              std::move(inner));

@@ -110,52 +110,18 @@ KernelPtr MakeScalarFnKernel(KernelType out_type,
                              std::vector<KernelPtr> arg_kernels,
                              std::vector<double> const_args);
 
-// --- Cross-stage computed-column cache (kernel-level CSE) --------------------
-
-/// \brief Shared computed columns for one fused kernel run: one slot per
-/// distinct subexpression that `PlanKernelCse` found repeated across the
-/// run's stages. The first cache kernel evaluated under the current epoch
-/// materializes its column — scattered by *physical* row index, so later
-/// stages with refined (subset) selections gather the right values without
-/// recomputation. The owning `BatchKernelOperator` calls `Invalidate()`
-/// once per input batch; like `CseCache`, staleness is by epoch and
-/// nothing is cleared. Single-strand state: one cache belongs to one
-/// operator instance.
-class ColumnCache {
- public:
-  struct Slot {
-    /// Epoch the column was last materialized under (`~0` = never).
-    uint64_t epoch = ~uint64_t{0};
-    /// Column storage indexed by physical row index × element width.
-    std::vector<uint8_t> data;
-  };
-
-  /// Adds a slot and returns its index.
-  size_t AddSlot() {
-    slots_.emplace_back();
-    return slots_.size() - 1;
-  }
-
-  /// Starts a new input batch: every cached column becomes stale.
-  void Invalidate() { ++epoch_; }
-
-  Slot& slot(size_t i) { return slots_[i]; }
-  uint64_t epoch() const { return epoch_; }
-  size_t num_slots() const { return slots_.size(); }
-
- private:
-  uint64_t epoch_ = 0;
-  std::vector<Slot> slots_;
-};
+// --- Cross-stage computed-column cache (CSE in fused runs) -------------------
 
 /// \brief Wraps \p inner so its result column is computed at most once per
-/// cache epoch: the first evaluation runs \p inner over its span and
-/// scatters the results into the slot by physical row index; subsequent
-/// evaluations gather from the slot. Sound only under the fused-run
-/// invariant that the first evaluation's span is a superset of every later
-/// span (stage selections only shrink). Returns nullptr when \p inner is
-/// null.
-KernelPtr MakeColumnCacheKernel(std::shared_ptr<ColumnCache> cache,
-                                size_t slot, KernelPtr inner);
+/// cache epoch — the compiled half of a `PlanCse` wrapper, whose fused
+/// operator invalidates the cache once per input batch. The first
+/// evaluation runs \p inner over its span and scatters the results into
+/// the slot's `column` by *physical* row index, so later stages with
+/// refined (subset) selections gather the right values without
+/// recomputation. Sound only under the fused-run invariant that the first
+/// evaluation's span is a superset of every later span (stage selections
+/// only shrink). Returns nullptr when \p inner is null.
+KernelPtr MakeColumnCacheKernel(std::shared_ptr<CseCache> cache, size_t slot,
+                                KernelPtr inner);
 
 }  // namespace nebulameos::nebula::exec

@@ -216,8 +216,8 @@ std::string BatchKernelOperator::name() const {
 Status BatchKernelOperator::ProcessBatch(const Batch& input,
                                          const EmitFn& emit) {
   CountIn(input);
-  // New input buffer: any kernel-CSE columns cached from the previous
-  // batch are stale.
+  // New input buffer: any CSE columns cached from the previous batch are
+  // stale.
   if (cse_cache_ != nullptr) cse_cache_->Invalidate();
   Batch cur = input;
   bool alive = cur.NumRows() > 0;
@@ -330,7 +330,7 @@ bool BatchKernelCompiler::AddProject(const std::vector<std::string>& fields) {
   return true;
 }
 
-void BatchKernelCompiler::AttachCseCache(std::shared_ptr<ColumnCache> cache) {
+void BatchKernelCompiler::AttachCseCache(std::shared_ptr<CseCache> cache) {
   op_->cse_cache_ = std::move(cache);
 }
 

@@ -141,9 +141,9 @@ class BatchKernelOperator final : public Operator {
 
   size_t num_stages() const { return stages_.size(); }
 
-  /// The kernel-CSE column cache `CompilePlan` attached (null when the
-  /// run shares nothing) — exposed for tests.
-  const std::shared_ptr<ColumnCache>& cse_cache() const { return cse_cache_; }
+  /// The `PlanCse` cache `CompilePlan` attached (null when the run shares
+  /// nothing) — exposed for tests.
+  const std::shared_ptr<CseCache>& cse_cache() const { return cse_cache_; }
 
  private:
   friend class BatchKernelCompiler;
@@ -169,10 +169,10 @@ class BatchKernelOperator final : public Operator {
   /// in a shared_ptr when a *partial* selection is actually emitted —
   /// fully-selective and empty results allocate nothing.
   SelectionVector scratch_sel_;
-  /// Kernel-level CSE state shared by this run's stages; invalidated at
-  /// the top of every `ProcessBatch` so cached columns never leak across
-  /// input batches. Null when `CompilePlan` found nothing to share.
-  std::shared_ptr<ColumnCache> cse_cache_;
+  /// CSE state shared by this run's stages; invalidated at the top of
+  /// every `ProcessBatch` so cached columns never leak across input
+  /// batches. Null when `CompilePlan` found nothing to share.
+  std::shared_ptr<CseCache> cse_cache_;
 };
 
 /// \brief Incremental builder used by `CompilePlan`: absorbs consecutive
@@ -189,10 +189,9 @@ class BatchKernelCompiler {
   bool AddMap(const std::vector<MapSpec>& specs);
   bool AddProject(const std::vector<std::string>& fields);
 
-  /// Attaches the kernel-CSE column cache whose cache kernels the absorbed
-  /// expressions reference (`PlanKernelCse`); the fused operator
-  /// invalidates it once per input batch.
-  void AttachCseCache(std::shared_ptr<ColumnCache> cache);
+  /// Attaches the `PlanCse` cache whose wrappers the absorbed expressions
+  /// carry; the fused operator invalidates it once per input batch.
+  void AttachCseCache(std::shared_ptr<CseCache> cache);
 
   size_t num_stages() const { return op_->num_stages(); }
 

@@ -28,7 +28,6 @@ namespace nebulameos::nebula {
 namespace exec {
 class ScalarKernel;
 using KernelPtr = std::unique_ptr<ScalarKernel>;
-class ColumnCache;
 }  // namespace exec
 
 /// Runtime value produced by expression evaluation.
@@ -283,27 +282,50 @@ bool ExpressionMergeSafe(const ExprPtr& expr);
 /// (integer widening, division-by-zero behaviour) match runtime exactly.
 ExprPtr FoldConstants(const ExprPtr& expr, bool* changed);
 
-// --- Common-subexpression elimination (interpreter path) ---------------------
+// --- Common-subexpression elimination ---------------------------------------
 
-/// \brief Per-record memoization state backing `PlanCse`-rewritten trees:
-/// one slot per distinct shared subexpression. Invalidation is by epoch —
-/// the evaluating operator calls `BeginRecord()` before each record and
-/// stale slots simply miss; nothing is cleared. Single-evaluator state:
-/// the owning operator instance runs on one strand, so plain fields need
-/// no synchronization.
-struct CseCache {
+/// \brief Memoization state behind `PlanCse`'s shared subexpressions: one
+/// slot per distinct shared subtree. Its one owner is the operator that
+/// evaluates the rewritten trees, and it serves either of the two
+/// evaluation models:
+///
+/// - an interpreted Filter/Map memoizes the subtree's `Value` per
+///   *record*: `Expression::Eval` of the wrapper fills `value`;
+/// - a fused `exec::BatchKernelOperator` memoizes its computed column per
+///   *input batch*: the wrapper's compiled kernel
+///   (`exec::MakeColumnCacheKernel`) fills `column`, scattered by
+///   physical row index.
+///
+/// The owner calls `Invalidate()` before each record or batch; staleness
+/// is by epoch and nothing is cleared. One owner only, so a per-batch
+/// epoch never meets a per-record memo: `CompilePlan` hands a refused
+/// fused stage the original, unwrapped node. Single-strand state: the
+/// owner runs on one strand, so plain fields need no synchronization.
+class CseCache {
+ public:
   struct Slot {
-    /// Initialized to a value no real epoch reaches, so the first Eval of
-    /// a slot always computes even if epochs started at 0.
+    /// Epoch the slot was last filled under; initialized to a value no
+    /// real epoch reaches, so the first evaluation always computes.
     uint64_t epoch = ~uint64_t{0};
-    Value value = false;
+    Value value = false;          ///< per-record memo (interpreted)
+    std::vector<uint8_t> column;  ///< per-batch column (compiled)
   };
 
-  uint64_t epoch = 0;
-  std::vector<Slot> slots;
+  /// Adds a slot and returns its index.
+  size_t AddSlot() {
+    slots_.emplace_back();
+    return slots_.size() - 1;
+  }
 
-  /// Starts a new record: previously cached values become stale.
-  void BeginRecord() { ++epoch; }
+  /// Starts a new record or input batch: every slot becomes stale.
+  void Invalidate() { ++epoch_; }
+
+  Slot& slot(size_t i) { return slots_[i]; }
+  uint64_t epoch() const { return epoch_; }
+
+ private:
+  uint64_t epoch_ = 0;
+  std::vector<Slot> slots_;
 };
 
 /// \brief Result of `PlanCse` over one operator's expression trees.
@@ -313,59 +335,35 @@ struct CsePlan {
   /// input schema before evaluating. Unchanged when nothing was shared.
   std::vector<ExprPtr> roots;
   /// The shared memoization cache; null when `num_shared == 0` (callers
-  /// then skip the per-record `BeginRecord`).
+  /// then skip the per-record or per-batch `Invalidate`).
   std::shared_ptr<CseCache> cache;
-  /// Distinct subexpressions now computed once per record.
+  /// Distinct subexpressions now computed once per record (interpreted)
+  /// or once per input batch (compiled).
   size_t num_shared = 0;
 };
 
 /// \brief Memoizes repeated subexpressions across \p roots — the trees one
-/// operator evaluates per record (a filter's predicate, a map's computed
-/// fields). Every subexpression occurring more than once (by
-/// `StructurallyEqual`) is replaced with a caching wrapper evaluating the
-/// subtree once per record; later occurrences reuse the slot. Wrappers are
-/// lazy, so And/Or short-circuiting still skips whole subtrees — a skipped
-/// occurrence computes nothing, and the slot fills at the first occurrence
-/// actually reached.
+/// operator evaluates: a filter's predicate, a map's computed fields, or
+/// every root of a fused kernel run that reads the run's input buffer.
+/// Every subexpression occurring more than once (by `StructurallyEqual`)
+/// is replaced with one caching wrapper; later occurrences reuse its
+/// slot.
+///
+/// - Interpreted, the wrapper is lazy: And/Or short-circuiting still
+///   skips whole subtrees — a skipped occurrence computes nothing, and
+///   the slot fills at the first occurrence actually reached.
+/// - Compiled, the wrapper's kernel materializes the column once per
+///   input batch and later stages gather it. Sound because batch kernels
+///   evaluate every row of the span they are given (no row-level
+///   short-circuit) and stage selections only shrink, so the first
+///   evaluation covers every row later stages revisit.
 ///
 /// Conservative by construction: only subtrees whose ancestors are all
 /// built-in arithmetic/comparison/logical/NOT nodes are replaced (anything
 /// below a function call would require rebuilding the enclosing function
 /// node, whose concrete subclass is unknown), and bare field references
 /// and literals are never cached (the wrapper would cost more than the
-/// read). The compiled-kernel path never sees these trees — CSE is the
-/// interpreter fallback's optimization.
+/// read).
 CsePlan PlanCse(std::vector<ExprPtr> roots);
-
-// --- Common-subexpression elimination (compiled path) ------------------------
-
-/// \brief Result of `PlanKernelCse` over the expression roots of one fused
-/// kernel run (consecutive filter predicates plus the map specs that share
-/// their input buffer).
-struct KernelCsePlan {
-  /// Rewritten trees, position-for-position with the input roots. Shared
-  /// subtrees are wrapped so their *compiled kernels* write/read a cached
-  /// column; interpreted `Eval` of a wrapper simply delegates (the
-  /// interpreter fallback stays correct without the cache).
-  std::vector<ExprPtr> roots;
-  /// Cross-stage computed-column cache the wrappers' kernels share; null
-  /// when `num_shared == 0`. The owning `BatchKernelOperator` invalidates
-  /// it once per input batch.
-  std::shared_ptr<exec::ColumnCache> cache;
-  /// Distinct subexpressions now computed once per batch.
-  size_t num_shared = 0;
-};
-
-/// \brief Kernel-level CSE: shares repeated subexpressions across the
-/// stages of one fused `BatchKernelOperator` run. `PlanCse` covers only the
-/// interpreter path; fused batch kernels previously recomputed shared
-/// subtrees per stage. Each repeated subtree (by `StructurallyEqual`, same
-/// conservative ancestor/triviality rules as `PlanCse`) compiles into a
-/// kernel that materializes the column once per input batch — scattered by
-/// physical row index — and later occurrences gather the cached values.
-/// Sound because batch kernels evaluate every row of the span they are
-/// given (no row-level short-circuit) and stage selections only shrink, so
-/// the first evaluation always covers every row later stages revisit.
-KernelCsePlan PlanKernelCse(std::vector<ExprPtr> roots);
 
 }  // namespace nebulameos::nebula

@@ -116,7 +116,9 @@ struct RetryOptions {
   double jitter = 0.5;
   /// Applied when the retain queue saturates or a frame is unrecoverable:
   /// `kBlock` fails the branch, the drop policies skip the frame and
-  /// count it shed.
+  /// count it shed. The engine's worker strands saturate by the same
+  /// policy (worker_pool.hpp); they shed data morsels, never
+  /// end-of-stream.
   ShedPolicy shed_policy = ShedPolicy::kBlock;
 };
 

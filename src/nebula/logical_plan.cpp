@@ -629,16 +629,18 @@ bool PartitionableKeyType(DataType type) {
   }
 }
 
-// Kernel-level CSE rewrites for the fused run starting at ops[idx], keyed
-// by op index so refused stages fall back to the *original* nodes.
+// CSE rewrites for the fused run starting at ops[idx], keyed by op index
+// so refused stages fall back to the *original* nodes: the wrappers' `Eval`
+// memoizes per record, and an interpreted operator never invalidates a
+// cache that the fused operator owns, so a wrapper must never reach one.
 struct FusedRunCse {
   std::map<size_t, ExprPtr> filter_predicates;
   std::map<size_t, std::vector<MapSpec>> map_specs;
-  std::shared_ptr<exec::ColumnCache> cache;  ///< null = nothing shared
+  std::shared_ptr<CseCache> cache;  ///< null = nothing shared
 };
 
-// Plans kernel-level CSE for one fused run: collects the expression roots
-// that evaluate against the run's *input* buffer — the predicates of the
+// Plans CSE for one fused run: collects the expression roots that
+// evaluate against the run's *input* buffer — the predicates of the
 // leading consecutive filters plus the computed fields of the map
 // immediately after them (CompiledMap kernels also read the stage's input
 // buffer, so physical row indices line up across all these roots) — and
@@ -674,7 +676,7 @@ FusedRunCse PlanFusedRunCse(const Chain& ops, size_t idx,
     break;
   }
   if (roots.empty()) return out;
-  KernelCsePlan plan = PlanKernelCse(std::move(roots));
+  CsePlan plan = PlanCse(std::move(roots));
   if (plan.num_shared == 0) return out;
   out.cache = std::move(plan.cache);
   size_t r = 0;
@@ -780,10 +782,10 @@ Status CompileChain(const Chain& ops, size_t begin,
     }
     if (copts.compiled_kernels && pending_key.empty()) {
       bool absorbed = false;
-      // Opening a fresh run plans kernel-level CSE across its same-buffer
-      // stages; a wrapper-carrying predicate/spec that still refuses to
-      // compile falls back to the original node below (wrappers only wrap
-      // compilation, so refusal behaviour is unchanged).
+      // Opening a fresh run plans CSE across its same-buffer stages; a
+      // wrapper-carrying predicate/spec that still refuses to compile
+      // falls back to the original node below (wrappers compile exactly
+      // when their inner tree does, so refusal behaviour is unchanged).
       const auto open_run = [&]() {
         if (fuser.has_value()) return;
         cse = PlanFusedRunCse(ops, idx, topology, current_node);

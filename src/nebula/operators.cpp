@@ -74,7 +74,7 @@ Status FilterOperator::ProcessBatch(const exec::Batch& input,
   scratch_sel_.clear();
   for (size_t i = 0; i < n; ++i) {
     const size_t row = input.RowAt(i);
-    if (cse_cache_) cse_cache_->BeginRecord();
+    if (cse_cache_) cse_cache_->Invalidate();
     if (ValueAsBool(predicate_->Eval(input.data->At(row)))) {
       scratch_sel_.push_back(static_cast<uint32_t>(row));
     }
@@ -154,7 +154,7 @@ Result<OperatorPtr> MapOperator::Make(const Schema& input,
 }
 
 void MapOperator::WriteRecord(const RecordView& rec, RecordWriter* w) const {
-  if (cse_cache_) cse_cache_->BeginRecord();
+  if (cse_cache_) cse_cache_->Invalidate();
   const Schema& out_schema = layout_.output_schema;
   for (size_t f = 0; f < out_schema.num_fields(); ++f) {
     if (layout_.copy_from[f] >= 0) {

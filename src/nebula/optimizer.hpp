@@ -114,8 +114,8 @@ struct PlacementPassOptions {
   uint64_t source_bytes = 0;
 };
 
-/// \brief The per-branch placement pass — `OptimizeCutPlacement`
-/// generalized from one cut of a linear chain to one cut per DAG path.
+/// \brief The placement pass: the planner's one decision of which
+/// operators run on the edge and which in the cloud.
 ///
 /// Annotates every `LogicalOperator` with a target node id: each
 /// root-to-leaf path gets the edge→cloud cut that ships the fewest bytes
@@ -125,10 +125,12 @@ struct PlacementPassOptions {
 /// prefix on the edge lets each branch cut independently — e.g. the
 /// ingest prefix stays on the train while an archival aggregation branch
 /// ships its (tiny) aggregates and an alerting branch ships filtered
-/// alerts. Byte ties break toward the deepest cut (maximal pushdown).
-/// Sinks always land on `cloud_node` — results must reach the operations
+/// alerts. A linear chain is the one-path case: a single cut. Byte ties
+/// break toward the deepest cut (maximal pushdown: keep operators on the
+/// train whenever the uplink pays nothing for it). Sinks always land on `cloud_node` — results must reach the operations
 /// center. `CompilePlan` then lowers each annotated transition to a
-/// network-channel pair.
+/// network-channel pair, and `NodeEngine::Deployment` reports the traffic
+/// the chosen cut really shipped.
 ///
 /// Unlike the always-on rewrites, this pass needs runtime inputs (a
 /// topology and measured stats), so it is not part of

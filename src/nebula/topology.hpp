@@ -12,11 +12,8 @@
 /// (optimizer.hpp) annotates a plan with target nodes, `CompilePlan`
 /// lowers node transitions to `NetworkChannelSink`/`NetworkChannelSource`
 /// pairs over these channels, and `NodeEngine::Deployment` reports the
-/// traffic each channel actually carried.
-///
-/// The older post-hoc pricing path (`SimulateDeployment` over a
-/// chain-indexed `Placement`) is kept for linear chains and as the
-/// reference the measured channel counters are tested against.
+/// traffic each channel actually carried. That is the one placement
+/// path: there is no post-hoc pricing of a placement that did not run.
 
 #pragma once
 
@@ -31,7 +28,7 @@
 #include "common/status.hpp"
 #include "common/time.hpp"
 #include "nebula/fault.hpp"
-#include "nebula/operator.hpp"
+#include "nebula/metrics/metrics.hpp"
 
 namespace nebulameos::nebula {
 
@@ -97,21 +94,10 @@ class Topology {
   std::vector<TopologyLink> links_;
 };
 
-/// \brief Placement of a compiled chain onto nodes: `node_of[i]` is the node
-/// executing operator `i`; index `-1` denotes the source, `size` the sink.
-struct Placement {
-  std::map<int, int> node_of;
-
-  /// Node of operator \p op_index (must be present).
-  int NodeOf(int op_index) const { return node_of.at(op_index); }
-};
-
-/// \brief Traffic and latency accounting of one deployed query.
-///
-/// Produced two ways: *priced* after the fact by `SimulateDeployment`
-/// (record payload bytes only, one transfer per chain edge), or *measured*
-/// from executed `NetworkChannel` traffic by `NodeEngine::Deployment`
-/// (payload bytes per hop plus serialized wire bytes and frame counts).
+/// \brief Traffic and latency accounting of one deployed query, measured
+/// from the `NetworkChannel` traffic it executed (`MeasureDeployment`,
+/// read through `NodeEngine::Deployment`): payload bytes per hop plus
+/// serialized wire bytes and frame counts.
 struct DeploymentReport {
   /// Record payload bytes crossing each used link, keyed by (from, to).
   std::map<std::pair<int, int>, uint64_t> link_bytes;
@@ -121,14 +107,12 @@ struct DeploymentReport {
   uint64_t uplink_bytes = 0;
   /// Sum over links of bytes/bandwidth + latency (sequential path model).
   double total_transfer_seconds = 0.0;
-  /// Serialized bytes including frame headers (measured reports only;
-  /// stays 0 for priced reports, which know nothing about framing).
+  /// Serialized bytes including frame headers.
   uint64_t wire_bytes = 0;
-  /// Frames shipped across all channels (measured reports only).
+  /// Frames shipped across all channels.
   uint64_t frames = 0;
 
-  // --- Fault accounting (measured reports only; all zero when every
-  // channel ran fault-free) ---
+  // --- Fault accounting (all zero when every channel ran fault-free) ---
   uint64_t frames_dropped = 0;     ///< injected in-transit losses
   uint64_t frames_duplicated = 0;  ///< injected duplicate deliveries
   uint64_t frames_reordered = 0;   ///< injected swaps with a later frame
@@ -234,8 +218,8 @@ class NetworkChannel {
 
   uint64_t frames() const { return Locked(frames_); }
   uint64_t events() const { return Locked(events_); }
-  /// Record payload bytes shipped (comparable to `SimulateDeployment`
-  /// link pricing, which also counts record bytes).
+  /// Record payload bytes shipped: the upstream operator's `bytes_out`
+  /// when the channel runs fault-free.
   uint64_t payload_bytes() const { return Locked(payload_bytes_); }
   /// Serialized bytes shipped, frame headers included.
   uint64_t wire_bytes() const { return Locked(wire_bytes_); }
@@ -397,53 +381,8 @@ class NetworkChannel {
 
 /// \brief Aggregates the traffic a set of executed channels carried into
 /// one `DeploymentReport` (per-hop payload bytes and seconds, uplink
-/// bytes, wire bytes, frames). The measured counterpart of
-/// `SimulateDeployment`.
+/// bytes, wire bytes, frames).
 Result<DeploymentReport> MeasureDeployment(
     const std::vector<std::shared_ptr<NetworkChannel>>& channels);
-
-/// \brief Prices a placement using measured per-operator flow.
-///
-/// \p op_stats is the engine's chain-ordered stats (operators then sink);
-/// \p source_bytes is what the source produced. Each chain edge whose two
-/// endpoints are placed on different nodes ships the upstream operator's
-/// output bytes across the cheapest (possibly multi-hop) route between
-/// the two nodes.
-///
-/// \deprecated Linear chains and post-hoc pricing only. New code should
-/// annotate the plan (`MakePlacementPass`, optimizer.hpp), execute it on
-/// an engine with a topology, and read the *measured* report from
-/// `NodeEngine::Deployment`.
-Result<DeploymentReport> SimulateDeployment(
-    const Topology& topology,
-    const std::vector<std::pair<std::string, OperatorStats>>& op_stats,
-    uint64_t source_bytes, const Placement& placement);
-
-/// All-on-edge placement: every operator on \p edge_node, sink on
-/// \p cloud_node (results ship up).
-Placement EdgePushdownPlacement(size_t chain_length, int edge_node,
-                                int cloud_node);
-
-/// Ship-raw placement: source on \p edge_node, everything else on
-/// \p cloud_node.
-Placement CloudPlacement(size_t chain_length, int edge_node, int cloud_node);
-
-/// \brief Incremental placement optimization: chooses the pipeline cut
-/// (edge prefix → cloud suffix) that minimizes uplink bytes, using the
-/// measured per-operator flow. The sink (final chain element) stays in the
-/// cloud — results must reach the operations center. Byte-count ties break
-/// toward the *deepest* cut (maximal edge pushdown — the paper's Figure 1
-/// point: keep operators on the train whenever the uplink pays nothing
-/// for it). Returns the placement and, through \p out_uplink_bytes
-/// (optional), its uplink cost.
-///
-/// This is the decision NebulaStream's incremental query placement makes
-/// per operator; here it reduces to the optimal single cut of a linear
-/// chain. The DAG-aware generalization (one cut per fan-out branch) lives
-/// in the optimizer as `MakePlacementPass`.
-Placement OptimizeCutPlacement(
-    const std::vector<std::pair<std::string, OperatorStats>>& op_stats,
-    uint64_t source_bytes, int edge_node, int cloud_node,
-    uint64_t* out_uplink_bytes = nullptr);
 
 }  // namespace nebulameos::nebula

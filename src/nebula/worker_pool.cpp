@@ -26,11 +26,12 @@ std::unique_ptr<WorkerPool::Strand> WorkerPool::MakeStrand() {
   return std::unique_ptr<Strand>(new Strand(this));
 }
 
-bool WorkerPool::Strand::Post(std::function<void()> task) {
-  return pool_->Post(this, std::move(task));
+bool WorkerPool::Strand::Post(std::function<void()> task, bool sheddable) {
+  return pool_->Post(this, std::move(task), sheddable);
 }
 
-bool WorkerPool::Post(Strand* strand, std::function<void()> task) {
+bool WorkerPool::Post(Strand* strand, std::function<void()> task,
+                      bool sheddable) {
   // Destroyed after the lock releases: shedding the oldest morsel drops
   // its captured buffer handles, whose recycling must not run under the
   // pool mutex.
@@ -39,7 +40,7 @@ bool WorkerPool::Post(Strand* strand, std::function<void()> task) {
   // Only external threads honour the bound: a worker blocking on a full
   // strand could leave every worker blocked with no one left to drain.
   if (strand_capacity_ > 0 && !OnWorkerThread()) {
-    if (shed_policy_ == ShedPolicy::kBlock) {
+    if (shed_policy_ == ShedPolicy::kBlock || !sheddable) {
       while (strand->tasks_.size() >= strand_capacity_ && !stop_) {
         space_cv_.Wait(mutex_);
       }

@@ -22,7 +22,9 @@
 /// turns saturation into load shedding instead of backpressure —
 /// `kDropOldest` evicts the oldest queued morsel of the full strand,
 /// `kDropLate` refuses the incoming one. Shed morsels are counted
-/// (`tasks_shed`), never silently lost from the accounting.
+/// (`tasks_shed`), never silently lost from the accounting. Only data
+/// morsels shed: an end-of-stream post blocks for room instead, so every
+/// target's `Finish` runs.
 ///
 /// The locking discipline (one pool mutex guarding every strand's queue)
 /// is machine-checked: the CI clang build runs `-Wthread-safety` over the
@@ -60,7 +62,10 @@ class WorkerPool {
     /// unrun: \p task itself (refused by `kDropLate`, or posted during
     /// shutdown) or the oldest queued one (evicted by `kDropOldest`).
     /// Either way the strand's queue grew by one task less than posted.
-    bool Post(std::function<void()> task);
+    /// A task that is not \p sheddable (end-of-stream) is never refused:
+    /// at capacity it blocks as under `kBlock`. It is never evicted
+    /// either, as long as it is the strand's last post.
+    bool Post(std::function<void()> task, bool sheddable = true);
 
    private:
     friend class WorkerPool;
@@ -104,7 +109,8 @@ class WorkerPool {
   }
 
  private:
-  bool Post(Strand* strand, std::function<void()> task) NM_EXCLUDES(mutex_);
+  bool Post(Strand* strand, std::function<void()> task, bool sheddable)
+      NM_EXCLUDES(mutex_);
   void WorkerMain() NM_EXCLUDES(mutex_);
 
   mutable Mutex mutex_;

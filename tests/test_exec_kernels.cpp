@@ -421,18 +421,18 @@ TEST(SharedIngestRegression, PlacedAndCompiledVariantsEmitIdentically) {
   }
 }
 
-// --- Kernel-level common-subexpression elimination ---------------------
+// --- Common-subexpression elimination in fused runs --------------------
 
-TEST(KernelCse, PlanKernelCseSharesRepeatedSubtreesWithoutChangingEval) {
+TEST(KernelCse, PlanCseSharesRepeatedSubtreesWithoutChangingEval) {
   std::vector<ExprPtr> roots;
   roots.push_back(Ge(Mul(Attribute("value"), Lit(2.0)), Lit(4.0)));
   roots.push_back(Mul(Attribute("value"), Lit(2.0)));
-  KernelCsePlan cse = PlanKernelCse(std::move(roots));
+  CsePlan cse = PlanCse(std::move(roots));
   EXPECT_EQ(cse.num_shared, 1u);
   ASSERT_NE(cse.cache, nullptr);
   ASSERT_EQ(cse.roots.size(), 2u);
-  // Interpreted Eval of the wrapped trees delegates — bit-identical to
-  // the original expressions on every record.
+  // Interpreted Eval of the wrapped trees, one cache epoch per record, is
+  // bit-identical to the original expressions on every record.
   const Schema schema = EventSchema();
   ExprPtr pred = Ge(Mul(Attribute("value"), Lit(2.0)), Lit(4.0));
   ExprPtr scale = Mul(Attribute("value"), Lit(2.0));
@@ -442,6 +442,7 @@ TEST(KernelCse, PlanKernelCseSharesRepeatedSubtreesWithoutChangingEval) {
   auto buf = MakeBuffer(16);
   for (size_t i = 0; i < buf->size(); ++i) {
     const RecordView rec = buf->At(i);
+    cse.cache->Invalidate();
     EXPECT_EQ(cse.roots[0]->Eval(rec), pred->Eval(rec));
     EXPECT_EQ(cse.roots[1]->Eval(rec), scale->Eval(rec));
   }
@@ -453,7 +454,7 @@ TEST(KernelCse, TrivialOrUnsharedSubtreesAreNotCached) {
   std::vector<ExprPtr> roots;
   roots.push_back(Ge(Attribute("value"), Lit(1.0)));
   roots.push_back(Mul(Attribute("value"), Lit(3.0)));
-  KernelCsePlan cse = PlanKernelCse(std::move(roots));
+  CsePlan cse = PlanCse(std::move(roots));
   EXPECT_EQ(cse.num_shared, 0u);
   EXPECT_EQ(cse.cache, nullptr);
 }
@@ -500,7 +501,14 @@ TEST(KernelCse, FusedRunCarriesTheSharedCache) {
 
 // A registered scalar function that counts its evaluations — the probe
 // proving the shared subtree runs once per row, not once per stage.
+// `ProbeCalls` counts every evaluation, `InterpretedProbeCalls` only the
+// interpreted (`Eval`) ones.
 std::atomic<uint64_t>& ProbeCalls() {
+  static std::atomic<uint64_t> calls{0};
+  return calls;
+}
+
+std::atomic<uint64_t>& InterpretedProbeCalls() {
   static std::atomic<uint64_t> calls{0};
   return calls;
 }
@@ -514,6 +522,7 @@ class CseProbeFn final : public FunctionExpression {
  protected:
   Value EvalFn(const std::vector<Value>& args) const override {
     ProbeCalls().fetch_add(1);
+    InterpretedProbeCalls().fetch_add(1);
     return Value(std::get<double>(args[0]) * 3.0);
   }
   bool ScalarEvaluable() const override { return true; }
@@ -523,7 +532,7 @@ class CseProbeFn final : public FunctionExpression {
   }
 };
 
-TEST(KernelCse, SharedFunctionEvaluatesOncePerRowInCompiledRun) {
+bool RegisterCseProbe() {
   static const bool registered = [] {
     return ExpressionRegistry::Global()
         .Register("test.cse_probe",
@@ -533,7 +542,31 @@ TEST(KernelCse, SharedFunctionEvaluatesOncePerRowInCompiledRun) {
                   })
         .ok();
   }();
-  ASSERT_TRUE(registered);
+  return registered;
+}
+
+ExprPtr Probe() { return Fn("test.cse_probe", {Attribute("value")}); }
+
+// Runs `plan` on one worker and returns its sink's rows, sorted.
+std::vector<std::vector<Value>> RunSorted(Result<LogicalPlan> plan,
+                                          const CollectSink& sink,
+                                          bool compiled) {
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  EngineOptions options;
+  options.worker_threads = 1;
+  options.compiled_kernels = compiled;
+  NodeEngine engine(options);
+  auto id = engine.Submit(std::move(*plan));
+  EXPECT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_TRUE(engine.Start(*id).ok());
+  EXPECT_TRUE(engine.Wait(*id).ok());
+  auto rows = sink.Rows();
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(KernelCse, SharedFunctionEvaluatesOncePerRowInCompiledRun) {
+  ASSERT_TRUE(RegisterCseProbe());
 
   const int n = 64;
   const Schema out_schema = Schema::Build()
@@ -546,24 +579,12 @@ TEST(KernelCse, SharedFunctionEvaluatesOncePerRowInCompiledRun) {
                                 .Finish();
   auto run = [&](bool compiled) {
     auto sink = std::make_shared<CollectSink>(out_schema);
-    auto plan =
-        Query::From(MakeSource(n))
-            .Filter(Ge(Fn("test.cse_probe", {Attribute("value")}), Lit(6.0)))
-            .Map("tripled", Fn("test.cse_probe", {Attribute("value")}))
-            .To(sink)
-            .Build();
-    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    EngineOptions options;
-    options.worker_threads = 1;
-    options.compiled_kernels = compiled;
-    NodeEngine engine(options);
-    auto id = engine.Submit(std::move(*plan));
-    EXPECT_TRUE(id.ok()) << id.status().ToString();
-    EXPECT_TRUE(engine.Start(*id).ok());
-    EXPECT_TRUE(engine.Wait(*id).ok());
-    auto rows = sink->Rows();
-    std::sort(rows.begin(), rows.end());
-    return rows;
+    return RunSorted(Query::From(MakeSource(n))
+                         .Filter(Ge(Probe(), Lit(6.0)))
+                         .Map("tripled", Probe())
+                         .To(sink)
+                         .Build(),
+                     *sink, compiled);
   };
 
   ProbeCalls().store(0);
@@ -578,6 +599,56 @@ TEST(KernelCse, SharedFunctionEvaluatesOncePerRowInCompiledRun) {
   for (const auto& row : compiled_rows) {
     EXPECT_EQ(std::get<double>(row[5]), std::get<double>(row[2]) * 3.0);
     EXPECT_GE(std::get<double>(row[5]), 6.0);
+  }
+}
+
+TEST(KernelCse, SharedFunctionEvaluatesOncePerRowOnInterpretedFallback) {
+  ASSERT_TRUE(RegisterCseProbe());
+
+  // The probe is shared by the filter and two map specs, but the map also
+  // emits a text field, so it refuses to compile: the fused run is the
+  // filter alone, and the map falls back to its original, interpreted
+  // node with its own per-record CSE.
+  const int n = 64;
+  const Schema out_schema = Schema::Build()
+                                .AddInt64("key")
+                                .AddTimestamp("ts")
+                                .AddDouble("value")
+                                .AddBool("flag")
+                                .AddText16("label")
+                                .AddDouble("tripled")
+                                .AddDouble("bumped")
+                                .AddText16("tag")
+                                .Finish();
+  auto run = [&](bool compiled) {
+    auto sink = std::make_shared<CollectSink>(out_schema);
+    return RunSorted(Query::From(MakeSource(n))
+                         .Filter(Ge(Probe(), Lit(6.0)))
+                         .MapAll({{"tripled", Probe()},
+                                  {"bumped", Add(Probe(), Lit(1.0))},
+                                  {"tag", Attribute("label")}})
+                         .To(sink)
+                         .Build(),
+                     *sink, compiled);
+  };
+
+  ProbeCalls().store(0);
+  InterpretedProbeCalls().store(0);
+  const auto compiled_rows = run(/*compiled=*/true);
+  const uint64_t survivors = compiled_rows.size();
+  ASSERT_GT(survivors, 0u);
+  ASSERT_LT(survivors, static_cast<uint64_t>(n));
+  // The interpreted map evaluates the probe once per surviving row, not
+  // once per occurrence; the compiled filter once per ingested row.
+  EXPECT_EQ(InterpretedProbeCalls().load(), survivors);
+  EXPECT_EQ(ProbeCalls().load(), static_cast<uint64_t>(n) + survivors);
+
+  const auto interpreted_rows = run(/*compiled=*/false);
+  EXPECT_EQ(compiled_rows, interpreted_rows);
+  for (const auto& row : compiled_rows) {
+    EXPECT_EQ(std::get<double>(row[5]), std::get<double>(row[2]) * 3.0);
+    EXPECT_EQ(std::get<double>(row[6]), std::get<double>(row[5]) + 1.0);
+    EXPECT_EQ(std::get<std::string>(row[7]), std::get<std::string>(row[4]));
   }
 }
 

@@ -211,7 +211,7 @@ TEST_F(ExprTest, PlanCseSharesRepeatedSubtreeAndStaysEquivalent) {
   ASSERT_TRUE(rewritten->Bind(buffer_.schema()).ok());
   ASSERT_TRUE(original->Bind(buffer_.schema()).ok());
   // 27.5 * 3.6 = 99 -> first conjunct true, second false.
-  plan.cache->BeginRecord();
+  plan.cache->Invalidate();
   EXPECT_EQ(ValueAsBool(rewritten->Eval(buffer_.At(0))),
             ValueAsBool(original->Eval(buffer_.At(0))));
   EXPECT_FALSE(ValueAsBool(rewritten->Eval(buffer_.At(0))));
@@ -238,7 +238,7 @@ TEST_F(ExprTest, PlanCseEvaluatesSharedFunctionOncePerRecord) {
   }
   *calls = 0;
   for (int record = 0; record < 3; ++record) {
-    plan.cache->BeginRecord();
+    plan.cache->Invalidate();
     EXPECT_DOUBLE_EQ(ValueAsDouble(plan.roots[0]->Eval(buffer_.At(0))), 110.0);
     EXPECT_DOUBLE_EQ(ValueAsDouble(plan.roots[1]->Eval(buffer_.At(0))), 50.0);
   }
@@ -264,7 +264,7 @@ TEST_F(ExprTest, PlanCseKeepsShortCircuitLazy) {
   EXPECT_GE(plan.num_shared, 1u);
   ASSERT_TRUE(plan.roots[0]->Bind(buffer_.schema()).ok());
   *calls = 0;
-  plan.cache->BeginRecord();
+  plan.cache->Invalidate();
   EXPECT_FALSE(ValueAsBool(plan.roots[0]->Eval(buffer_.At(0))));
   EXPECT_EQ(*calls, 0);
 }
@@ -282,7 +282,7 @@ TEST_F(ExprTest, PlanCseNeverDescendsIntoFunctionArguments) {
   CsePlan plan = PlanCse({inner_only});
   EXPECT_EQ(plan.num_shared, 1u);  // the whole abs(...) subtree, nothing inside
   ASSERT_TRUE(plan.roots[0]->Bind(buffer_.schema()).ok());
-  plan.cache->BeginRecord();
+  plan.cache->Invalidate();
   EXPECT_TRUE(ValueAsBool(plan.roots[0]->Eval(buffer_.At(0))));
 }
 

@@ -5,7 +5,8 @@
 // against fault-free references (reorder, duplicates, env-configured
 // profiles, no spurious retransmits), watermark monotonicity through the
 // repair path, stateful-operator late-record guards, and worker-pool
-// morsel shedding with its strand queue-depth accounting.
+// morsel shedding with its strand queue-depth accounting and its
+// end-of-stream exemption.
 
 #include <gtest/gtest.h>
 
@@ -794,6 +795,56 @@ TEST(EngineShedding, ShedMorselsLeaveNoQueueDepthBehind) {
       EXPECT_EQ(depth, 0.0) << name << " policy " << ToString(policy);
     }
     EXPECT_EQ(gauges, 3u);  // root, 0 and 1
+  }
+}
+
+// Shedding drops data morsels, never end-of-stream: a slow windowed
+// branch whose strand is full when the stream ends must still run its
+// Finish, so the one window covering the whole stream is emitted under
+// both shed policies.
+TEST(EngineShedding, EndOfStreamIsNeverShed) {
+  for (const ShedPolicy policy :
+       {ShedPolicy::kDropLate, ShedPolicy::kDropOldest}) {
+    EngineOptions options;
+    options.worker_threads = 2;
+    options.tuples_per_buffer = 4;
+    options.faults.retry.shed_policy = policy;
+    NodeEngine engine(options);
+    const ExprPtr slow_pass = MakeLambdaExpr(
+        "slow_pass", {Attribute("value")}, DataType::kBool,
+        [](const std::vector<Value>&) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+          return Value(true);
+        });
+    auto window_sink = std::make_shared<CollectSink>(
+        Schema::Build()
+            .AddTimestamp("window_start")
+            .AddTimestamp("window_end")
+            .AddInt64("n")
+            .Finish());
+    SplitQuery split =
+        Query::From(std::make_unique<MemorySource>(EventSchema(),
+                                                   MakeRows(4000), 1, "ts"))
+            .Split(2);
+    std::move(split[0]).To(std::make_shared<CountingSink>(EventSchema()));
+    std::move(split[1])
+        .Filter(slow_pass)
+        .TumblingWindow(Seconds(1'000'000), "ts")
+        .Aggregate({AggregateSpec::Count("n")})
+        .To(window_sink);
+    auto plan = std::move(split).Build();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto id = engine.Submit(std::move(*plan));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_TRUE(engine.RunToCompletion(*id).ok());
+    auto stats = engine.Stats(*id);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_GT(stats->tasks_shed, 0u) << ToString(policy);
+    // The window closes only at end-of-stream: its row proves Finish ran.
+    const auto rows = window_sink->Rows();
+    ASSERT_EQ(rows.size(), 1u) << ToString(policy);
+    EXPECT_GT(std::get<int64_t>(rows[0][2]), 0) << ToString(policy);
+    EXPECT_LT(std::get<int64_t>(rows[0][2]), 4000) << ToString(policy);
   }
 }
 
