@@ -394,51 +394,56 @@ class NotKernel final : public ScalarKernel {
 
 class ScalarFnKernel final : public ScalarKernel {
  public:
-  ScalarFnKernel(KernelType out_type, std::function<double(const double*)> fn,
+  ScalarFnKernel(KernelType out_type, const FunctionExpression* fn,
                  std::vector<KernelPtr> args, std::vector<double> const_args)
       : ScalarKernel(out_type),
-        fn_(std::move(fn)),
+        fn_(fn),
         args_(std::move(args)),
         const_args_(std::move(const_args)),
-        cols_(args_.size()) {}
+        cols_(args_.size()),
+        columns_(args_.size()) {}
 
   void EvalBool(const RowSpan& rows, uint8_t* out) const override {
-    EvalRows(rows, [out](size_t i, double r) { out[i] = r != 0.0 ? 1 : 0; });
+    const double* r = EvalColumn(rows, nullptr);
+    for (size_t i = 0; i < rows.count; ++i) out[i] = r[i] != 0.0 ? 1 : 0;
   }
   void EvalInt64(const RowSpan& rows, int64_t* out) const override {
-    EvalRows(rows,
-             [out](size_t i, double r) { out[i] = static_cast<int64_t>(r); });
+    const double* r = EvalColumn(rows, nullptr);
+    for (size_t i = 0; i < rows.count; ++i) {
+      out[i] = static_cast<int64_t>(r[i]);
+    }
   }
   void EvalDouble(const RowSpan& rows, double* out) const override {
-    EvalRows(rows, [out](size_t i, double r) { out[i] = r; });
+    EvalColumn(rows, out);
   }
 
  private:
-  template <typename Store>
-  void EvalRows(const RowSpan& rows, const Store& store) const {
-    const size_t arity = args_.size();
-    row_args_.resize(arity);
-    for (size_t a = 0; a < arity; ++a) {
+  // Evaluates the argument columns, then the function's batch entry once,
+  // into \p out (or the result scratch when null); returns the column.
+  const double* EvalColumn(const RowSpan& rows, double* out) const {
+    for (size_t a = 0; a < args_.size(); ++a) {
       if (args_[a] == nullptr) {
-        row_args_[a] = const_args_[a];
+        columns_[a] = ScalarColumn{&const_args_[a], true};
         continue;
       }
       cols_[a].resize(rows.count);
       args_[a]->EvalAsDouble(rows, cols_[a].data());
+      columns_[a] = ScalarColumn{cols_[a].data(), false};
     }
-    for (size_t i = 0; i < rows.count; ++i) {
-      for (size_t a = 0; a < arity; ++a) {
-        if (args_[a] != nullptr) row_args_[a] = cols_[a][i];
-      }
-      store(i, fn_(row_args_.data()));
+    if (out == nullptr) {
+      result_.resize(rows.count);
+      out = result_.data();
     }
+    fn_->EvalScalarBatch(columns_.data(), rows.count, out);
+    return out;
   }
 
-  std::function<double(const double*)> fn_;
+  const FunctionExpression* fn_;
   std::vector<KernelPtr> args_;  ///< nullptr entries are constants
   std::vector<double> const_args_;
   mutable std::vector<std::vector<double>> cols_;
-  mutable std::vector<double> row_args_;
+  mutable std::vector<ScalarColumn> columns_;
+  mutable std::vector<double> result_;
 };
 
 // --- Cross-stage computed-column cache (CSE in fused runs) ------------------
@@ -574,11 +579,10 @@ KernelPtr MakeNotKernel(KernelPtr inner) {
   return std::make_unique<NotKernel>(std::move(inner));
 }
 
-KernelPtr MakeScalarFnKernel(KernelType out_type,
-                             std::function<double(const double*)> fn,
+KernelPtr MakeScalarFnKernel(KernelType out_type, const FunctionExpression* fn,
                              std::vector<KernelPtr> arg_kernels,
                              std::vector<double> const_args) {
-  return std::make_unique<ScalarFnKernel>(out_type, std::move(fn),
+  return std::make_unique<ScalarFnKernel>(out_type, fn,
                                           std::move(arg_kernels),
                                           std::move(const_args));
 }

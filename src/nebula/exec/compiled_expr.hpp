@@ -8,8 +8,8 @@
 /// (`Expression::CompileKernel`) into a tree of `ScalarKernel`s that
 /// evaluate over a whole run of rows at once: field leaves are raw
 /// offset-typed loads, operators are tight loops over primitive columns,
-/// and the only per-row indirection left is one call for registered
-/// extension functions (`FunctionExpression::EvalScalar`).
+/// and registered extension functions take whole argument columns through
+/// one batch call (`FunctionExpression::EvalScalarBatch`).
 ///
 /// Kernels carry mutable per-node scratch columns, so one kernel instance
 /// is bound to one pipeline (single-threaded use), matching the engine's
@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -101,12 +100,12 @@ KernelPtr MakeOrKernel(KernelPtr lhs, KernelPtr rhs);
 KernelPtr MakeNotKernel(KernelPtr inner);
 
 /// \brief Bridge for registered extension functions: evaluates every
-/// runtime argument kernel into a double column, then calls \p fn once per
-/// row over the widened argument values. `arg_kernels[i] == nullptr` marks
-/// a bind-time constant argument whose widened value is `const_args[i]`.
-/// One indirect call per row — no `Value` boxing, no per-row allocation.
-KernelPtr MakeScalarFnKernel(KernelType out_type,
-                             std::function<double(const double*)> fn,
+/// runtime argument kernel into a double column, then calls \p fn's batch
+/// entry (`FunctionExpression::EvalScalarBatch`) once for the whole span.
+/// `arg_kernels[i] == nullptr` marks a bind-time constant argument whose
+/// widened value is `const_args[i]`. No `Value` boxing, no per-row call
+/// through the kernel. \p fn must outlive the kernel.
+KernelPtr MakeScalarFnKernel(KernelType out_type, const FunctionExpression* fn,
                              std::vector<KernelPtr> arg_kernels,
                              std::vector<double> const_args);
 

@@ -399,7 +399,10 @@ class NotExpr : public Expression {
   ExprPtr inner_;
 };
 
-// --- Built-in math functions --------------------------------------------------
+// --- Numeric scalar functions (built-in math, RegisterScalarFunction) --------
+
+// Largest arity `RegisterScalarFunction` accepts.
+constexpr size_t kMaxScalarArity = 8;
 
 class MathFn : public FunctionExpression {
  public:
@@ -408,18 +411,30 @@ class MathFn : public FunctionExpression {
   /// interpreter and the kernel cannot drift.
   using Impl = double (*)(const double*);
 
-  MathFn(std::string name, std::vector<ExprPtr> args, Impl impl)
-      : FunctionExpression(std::move(name), std::move(args),
-                           DataType::kDouble),
+  MathFn(std::string name, std::vector<ExprPtr> args, DataType output_type,
+         Impl impl)
+      : FunctionExpression(std::move(name), std::move(args), output_type),
         impl_(impl) {}
 
  protected:
   Value EvalFn(const std::vector<Value>& args) const override {
-    double widened[3] = {0.0, 0.0, 0.0};
-    for (size_t i = 0; i < args.size() && i < 3; ++i) {
+    double widened[kMaxScalarArity] = {};
+    for (size_t i = 0; i < args.size(); ++i) {
       widened[i] = ValueAsDouble(args[i]);
     }
-    return impl_(widened);
+    const double r = impl_(widened);
+    switch (output_type()) {
+      case DataType::kBool:
+        return r != 0.0;
+      case DataType::kInt64:
+      case DataType::kTimestamp:
+        return static_cast<int64_t>(r);
+      case DataType::kDouble:
+      case DataType::kText16:  // rejected by RegisterScalarFunction
+      case DataType::kText32:
+        break;
+    }
+    return r;
   }
 
   bool ScalarEvaluable() const override { return true; }
@@ -428,15 +443,6 @@ class MathFn : public FunctionExpression {
  private:
   Impl impl_;
 };
-
-Result<ExprPtr> MakeMathFn(const std::string& name, std::vector<ExprPtr> args,
-                           size_t arity, MathFn::Impl impl) {
-  if (args.size() != arity) {
-    return Status::InvalidArgument(name + " expects " + std::to_string(arity) +
-                                   " arguments");
-  }
-  return ExprPtr(std::make_shared<MathFn>(name, std::move(args), impl));
-}
 
 }  // namespace
 
@@ -582,9 +588,18 @@ exec::KernelPtr FunctionExpression::CompileKernel(const Schema& schema) const {
     arg_kernels.push_back(std::move(k));
     const_args.push_back(0.0);
   }
-  return exec::MakeScalarFnKernel(
-      out_type, [this](const double* a) { return EvalScalar(a); },
-      std::move(arg_kernels), std::move(const_args));
+  return exec::MakeScalarFnKernel(out_type, this, std::move(arg_kernels),
+                                  std::move(const_args));
+}
+
+void FunctionExpression::EvalScalarBatch(const ScalarColumn* args,
+                                         size_t count, double* out) const {
+  const size_t arity = args_.size();
+  std::vector<double> row(arity);
+  for (size_t i = 0; i < count; ++i) {
+    for (size_t a = 0; a < arity; ++a) row[a] = args[a][i];
+    out[i] = EvalScalar(row.data());
+  }
 }
 
 // --- Registry -------------------------------------------------------------------
@@ -680,31 +695,46 @@ Status RegisterLambdaFunction(
       });
 }
 
+Status RegisterScalarFunction(const std::string& name, size_t arity,
+                              DataType output_type,
+                              double (*fn)(const double*)) {
+  if (arity > kMaxScalarArity) {
+    return Status::InvalidArgument(name + ": scalar functions take at most " +
+                                   std::to_string(kMaxScalarArity) +
+                                   " arguments");
+  }
+  if (output_type == DataType::kText16 || output_type == DataType::kText32) {
+    return Status::InvalidArgument(name + ": scalar functions are numeric");
+  }
+  return ExpressionRegistry::Global().Register(
+      name, [name, arity, output_type,
+             fn](std::vector<ExprPtr> args) -> Result<ExprPtr> {
+        if (args.size() != arity) {
+          return Status::InvalidArgument(
+              name + " expects " + std::to_string(arity) + " arguments");
+        }
+        return ExprPtr(
+            std::make_shared<MathFn>(name, std::move(args), output_type, fn));
+      });
+}
+
 void RegisterBuiltinFunctions() {
-  auto& reg = ExpressionRegistry::Global();
-  if (reg.Contains("abs")) return;  // already registered
-  (void)reg.Register("abs", [](std::vector<ExprPtr> args) {
-    return MakeMathFn("abs", std::move(args), 1,
-                      [](const double* v) { return std::fabs(v[0]); });
-  });
-  (void)reg.Register("sqrt", [](std::vector<ExprPtr> args) {
-    return MakeMathFn("sqrt", std::move(args), 1, [](const double* v) {
-      return std::sqrt(std::max(0.0, v[0]));
-    });
-  });
-  (void)reg.Register("least", [](std::vector<ExprPtr> args) {
-    return MakeMathFn("least", std::move(args), 2,
-                      [](const double* v) { return std::min(v[0], v[1]); });
-  });
-  (void)reg.Register("greatest", [](std::vector<ExprPtr> args) {
-    return MakeMathFn("greatest", std::move(args), 2,
-                      [](const double* v) { return std::max(v[0], v[1]); });
-  });
-  (void)reg.Register("clamp", [](std::vector<ExprPtr> args) {
-    return MakeMathFn("clamp", std::move(args), 3, [](const double* v) {
-      return std::clamp(v[0], v[1], v[2]);
-    });
-  });
+  if (ExpressionRegistry::Global().Contains("abs")) return;  // registered
+  (void)RegisterScalarFunction(
+      "abs", 1, DataType::kDouble,
+      [](const double* v) { return std::fabs(v[0]); });
+  (void)RegisterScalarFunction(
+      "sqrt", 1, DataType::kDouble,
+      [](const double* v) { return std::sqrt(std::max(0.0, v[0])); });
+  (void)RegisterScalarFunction(
+      "least", 2, DataType::kDouble,
+      [](const double* v) { return std::min(v[0], v[1]); });
+  (void)RegisterScalarFunction(
+      "greatest", 2, DataType::kDouble,
+      [](const double* v) { return std::max(v[0], v[1]); });
+  (void)RegisterScalarFunction(
+      "clamp", 3, DataType::kDouble,
+      [](const double* v) { return std::clamp(v[0], v[1], v[2]); });
 }
 
 // --- Structural equality ------------------------------------------------------

@@ -138,6 +138,16 @@ ExprPtr Not(ExprPtr inner);
 
 // --- Extensible functions ----------------------------------------------------
 
+/// \brief One argument column of a batch call
+/// (`FunctionExpression::EvalScalarBatch`): one widened value per row, or
+/// — for a bind-time constant argument — one value every row shares.
+struct ScalarColumn {
+  const double* values = nullptr;
+  bool constant = false;
+
+  double operator[](size_t row) const { return values[constant ? 0 : row]; }
+};
+
 /// \brief Base class for registered n-ary functions.
 ///
 /// Subclasses implement `EvalFn` over evaluated argument values and declare
@@ -160,9 +170,17 @@ class FunctionExpression : public Expression {
 
   /// Generic batch compilation for registered functions: when the subclass
   /// opts in (`ScalarEvaluable`), every runtime argument compiles to a
-  /// kernel column and `EvalScalar` runs once per row over unboxed
-  /// doubles — no `Value` boxing, no per-row vector allocation.
+  /// kernel column and the kernel calls `EvalScalarBatch` once per batch
+  /// over unboxed doubles — no `Value` boxing, no per-row allocation.
   exec::KernelPtr CompileKernel(const Schema& schema) const override;
+
+  /// The batch entry of a compiled function: `args[a]` is the a-th
+  /// argument's column (`args().size()` of them) over \p count rows, and
+  /// `out[i]` receives row i's result with `EvalScalar`'s contract. The
+  /// default loops `EvalScalar` once per row; functions with a cheaper
+  /// whole-batch form (the geofence probes) override it.
+  virtual void EvalScalarBatch(const ScalarColumn* args, size_t count,
+                               double* out) const;
 
   const std::string& name() const { return name_; }
   const std::vector<ExprPtr>& args() const { return args_; }
@@ -241,10 +259,22 @@ ExprPtr MakeLambdaExpr(std::string name, std::vector<ExprPtr> args,
                        std::function<Value(const std::vector<Value>&)> fn);
 
 /// \brief Registers a lambda-backed function of fixed \p arity under
-/// \p name in the global registry.
+/// \p name in the global registry. The function only interprets: use it
+/// for boxed or text functions, and `RegisterScalarFunction` for numeric
+/// ones.
 Status RegisterLambdaFunction(
     const std::string& name, size_t arity, DataType output_type,
     std::function<Value(const std::vector<Value>&)> fn);
+
+/// \brief Registers a numeric function of fixed \p arity (at most 8)
+/// under \p name in the global registry. \p fn receives the arguments
+/// widened to double (`ValueAsDouble`) and returns the result as a double,
+/// converted to \p output_type (bool, int64, timestamp or double) as
+/// under `EvalScalar`'s contract. One implementation serves the
+/// interpreter and the compiled batch kernel, so the two cannot drift.
+Status RegisterScalarFunction(const std::string& name, size_t arity,
+                              DataType output_type,
+                              double (*fn)(const double*));
 
 /// Registers the built-in math functions ("abs", "sqrt", "least",
 /// "greatest", "clamp"). Called once from the engine; safe to call again.

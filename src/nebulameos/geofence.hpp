@@ -1,20 +1,28 @@
 /// \file geofence.hpp
 /// \brief Geofence registry: named zones and points of interest with a
-/// spatial grid index.
+/// flat spatial grid index.
 ///
 /// "A geofence is a boundary that limits a location. It can be created
 /// dynamically in a radius from the center of the area or by setting the
 /// boundaries to perimeters" (paper §3.1). The registry holds both forms —
 /// circles and polygons — tagged by kind (maintenance zone, station,
 /// workshop, noise-sensitive neighbourhood, high-risk segment, weather
-/// zone), plus point POIs. Queries resolve zones by name or by containment;
-/// containment lookups go through a uniform grid index over zone bounding
-/// boxes (MEOS-style box pruning before exact geometry tests), which the
-/// A1 ablation benchmark can disable.
+/// zone), plus point POIs. Queries resolve zones by name or by containment.
+///
+/// Containment lookups go through a uniform grid over the zones' bounding
+/// boxes (MEOS-style box pruning before exact geometry tests), stored flat
+/// in CSR form: one offsets array and one array of zone indices, each
+/// cell's list in ascending zone order, plus one byte per cell holding the
+/// bitmask of the `ZoneKind`s present — a kind-filtered probe of a cell
+/// without that kind costs one load. The grid spans only the cells the
+/// zones cover and is rebuilt by every `Add*Zone`. A probe at a non-finite
+/// coordinate, or outside that extent, is rejected before any integer
+/// conversion and answers "no zone", exactly as the linear scan does. The
+/// A1 ablation benchmark can disable the index (`SetIndexEnabled`).
 
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <variant>
 
@@ -69,8 +77,8 @@ struct Poi {
 
 /// \brief Registry of zones and POIs with containment lookups.
 ///
-/// Thread-compatible: build single-threaded, then share read-only across
-/// query threads.
+/// Thread-compatible: build single-threaded (every `Add*Zone` re-indexes),
+/// then share read-only across query threads — lookups never mutate.
 class GeofenceRegistry {
  public:
   /// \p metric selects WGS84 (default) or planar coordinates;
@@ -96,7 +104,8 @@ class GeofenceRegistry {
   /// POI by name.
   const Poi* FindPoi(const std::string& name) const;
 
-  /// All zones containing \p p, optionally restricted to \p kind.
+  /// All zones containing \p p, optionally restricted to \p kind, in
+  /// ascending id order.
   std::vector<const Zone*> ZonesContaining(
       const Point& p, std::optional<ZoneKind> kind = std::nullopt) const;
 
@@ -104,13 +113,23 @@ class GeofenceRegistry {
   bool InAnyZone(const Point& p,
                  std::optional<ZoneKind> kind = std::nullopt) const;
 
-  /// Id of the first zone containing \p p (kind-filtered), or -1.
+  /// Lowest id of a zone containing \p p (kind-filtered), or -1.
   int64_t ZoneIdAt(const Point& p,
                    std::optional<ZoneKind> kind = std::nullopt) const;
 
   /// The lowest advisory speed limit among zones containing \p p, or
   /// \p default_kmh when none applies.
   double SpeedLimitAt(const Point& p, double default_kmh) const;
+
+  /// Batch forms of the three probes above for compiled kernels: entry
+  /// \p i of \p out answers the probe at (`xs[i]`, `ys[i]`) — `InAnyZone`
+  /// as 0/1, `ZoneIdAt` as the id. No allocation.
+  void InAnyZone(const double* xs, const double* ys, size_t n,
+                 std::optional<ZoneKind> kind, double* out) const;
+  void ZoneIdAt(const double* xs, const double* ys, size_t n,
+                std::optional<ZoneKind> kind, double* out) const;
+  void SpeedLimitAt(const double* xs, const double* ys, size_t n,
+                    double default_kmh, double* out) const;
 
   /// Nearest POI of \p kind; distance (meters in WGS84) returned through
   /// \p out_distance when non-null.
@@ -129,23 +148,38 @@ class GeofenceRegistry {
   const std::vector<Poi>& pois() const { return pois_; }
 
  private:
-  struct CellKey {
-    int32_t cx;
-    int32_t cy;
-    bool operator<(const CellKey& o) const {
-      return cx != o.cx ? cx < o.cx : cy < o.cy;
-    }
-  };
+  /// Rebuilds the flat grid over every zone's bounding box.
+  void Reindex();
 
-  void IndexZone(size_t zone_index);
-  CellKey CellOf(double x, double y) const;
+  /// Calls `visit(zone)` for every candidate zone that may contain \p p —
+  /// the zones of \p p's grid cell, or every zone when the index is off —
+  /// in ascending id order, skipping zones of another kind, until `visit`
+  /// returns true. Allocation-free; the exact containment test is the
+  /// visitor's.
+  template <typename Visit>
+  void VisitCandidates(const Point& p, std::optional<ZoneKind> kind,
+                       const Visit& visit) const;
 
   Metric metric_;
   double cell_deg_;
   bool index_enabled_ = true;
   std::vector<Zone> zones_;
   std::vector<Poi> pois_;
-  std::map<CellKey, std::vector<size_t>> grid_;
+
+  // The flat grid covers cells [cell_x0_, cell_x0_ + cells_x_) ×
+  // [cell_y0_, cell_y0_ + cells_y_), where a coordinate's cell is
+  // floor(coord / cell_deg_); cell (cx, cy) is row-major slot
+  // (cy - cell_y0_) * cells_x_ + (cx - cell_x0_). When the zones' boxes are
+  // non-finite or span more than a fixed cell budget, the grid stays empty
+  // and `grid_linear_` routes every lookup through the linear scan.
+  double cell_x0_ = 0.0;
+  double cell_y0_ = 0.0;
+  size_t cells_x_ = 0;
+  size_t cells_y_ = 0;
+  bool grid_linear_ = false;
+  std::vector<uint32_t> cell_begin_;  ///< CSR offsets, one per cell + 1
+  std::vector<uint32_t> cell_zones_;  ///< zone indices, ascending per cell
+  std::vector<uint8_t> cell_kinds_;   ///< bit (1 << kind) per kind present
 };
 
 }  // namespace nebulameos::integration

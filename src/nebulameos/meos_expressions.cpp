@@ -50,6 +50,12 @@ Status CheckArity(const std::vector<ExprPtr>& args, size_t arity,
   return Status::OK();
 }
 
+// Whether a batch's position arguments are both per-row columns (a
+// constant lon or lat takes the default per-row loop instead).
+bool PositionColumns(const nebula::ScalarColumn* args) {
+  return !args[0].constant && !args[1].constant;
+}
+
 Result<std::shared_ptr<const GeofenceRegistry>> RequireGeofences(
     const std::string& fn) {
   auto reg = ActiveGeofences();
@@ -234,6 +240,15 @@ double InZoneKindExpression::EvalScalar(const double* args) const {
   return registry_->InAnyZone(Point{args[0], args[1]}, kind_) ? 1.0 : 0.0;
 }
 
+void InZoneKindExpression::EvalScalarBatch(const nebula::ScalarColumn* args,
+                                           size_t count, double* out) const {
+  if (!PositionColumns(args)) {
+    FunctionExpression::EvalScalarBatch(args, count, out);
+    return;
+  }
+  registry_->InAnyZone(args[0].values, args[1].values, count, kind_, out);
+}
+
 // --- ZoneIdExpression ----------------------------------------------------------
 
 ZoneIdExpression::ZoneIdExpression(std::vector<ExprPtr> args)
@@ -261,6 +276,15 @@ double ZoneIdExpression::EvalScalar(const double* args) const {
       registry_->ZoneIdAt(Point{args[0], args[1]}, kind_));
 }
 
+void ZoneIdExpression::EvalScalarBatch(const nebula::ScalarColumn* args,
+                                       size_t count, double* out) const {
+  if (!PositionColumns(args)) {
+    FunctionExpression::EvalScalarBatch(args, count, out);
+    return;
+  }
+  registry_->ZoneIdAt(args[0].values, args[1].values, count, kind_, out);
+}
+
 // --- ZoneSpeedLimitExpression -----------------------------------------------------
 
 ZoneSpeedLimitExpression::ZoneSpeedLimitExpression(std::vector<ExprPtr> args)
@@ -286,6 +310,16 @@ Value ZoneSpeedLimitExpression::EvalFn(const std::vector<Value>& args) const {
 
 double ZoneSpeedLimitExpression::EvalScalar(const double* args) const {
   return registry_->SpeedLimitAt(Point{args[0], args[1]}, default_kmh_);
+}
+
+void ZoneSpeedLimitExpression::EvalScalarBatch(
+    const nebula::ScalarColumn* args, size_t count, double* out) const {
+  if (!PositionColumns(args)) {
+    FunctionExpression::EvalScalarBatch(args, count, out);
+    return;
+  }
+  registry_->SpeedLimitAt(args[0].values, args[1].values, count,
+                          default_kmh_, out);
 }
 
 // --- NearestPoiDistanceExpression ----------------------------------------------------

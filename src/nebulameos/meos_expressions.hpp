@@ -29,7 +29,10 @@
 /// (`FunctionExpression::EvalScalar`): positions arrive as unboxed
 /// doubles and configuration is already bind-resolved, so MEOS predicates
 /// compile into the engine's fused batch kernels (nebula/exec/) instead
-/// of paying per-record `Value` boxing.
+/// of paying per-record `Value` boxing. The registry-backed zone probes
+/// (`in_zone_kind`, `zone_id`, `zone_speed_limit`) also override the batch
+/// entry (`FunctionExpression::EvalScalarBatch`) with the registry's batch
+/// probes.
 
 #pragma once
 
@@ -122,6 +125,9 @@ class InZoneKindExpression : public nebula::FunctionExpression {
  public:
   explicit InZoneKindExpression(std::vector<nebula::ExprPtr> args);
   static Result<nebula::ExprPtr> Make(std::vector<nebula::ExprPtr> args);
+  /// Batch entry: one registry batch probe over the position columns.
+  void EvalScalarBatch(const nebula::ScalarColumn* args, size_t count,
+                       double* out) const override;
 
  protected:
   Status OnBind(const nebula::Schema& schema) override;
@@ -140,6 +146,9 @@ class ZoneIdExpression : public nebula::FunctionExpression {
  public:
   explicit ZoneIdExpression(std::vector<nebula::ExprPtr> args);
   static Result<nebula::ExprPtr> Make(std::vector<nebula::ExprPtr> args);
+  /// Batch entry: one registry batch probe over the position columns.
+  void EvalScalarBatch(const nebula::ScalarColumn* args, size_t count,
+                       double* out) const override;
 
  protected:
   Status OnBind(const nebula::Schema& schema) override;
@@ -158,6 +167,9 @@ class ZoneSpeedLimitExpression : public nebula::FunctionExpression {
  public:
   explicit ZoneSpeedLimitExpression(std::vector<nebula::ExprPtr> args);
   static Result<nebula::ExprPtr> Make(std::vector<nebula::ExprPtr> args);
+  /// Batch entry: one registry batch probe over the position columns.
+  void EvalScalarBatch(const nebula::ScalarColumn* args, size_t count,
+                       double* out) const override;
 
  protected:
   Status OnBind(const nebula::Schema& schema) override;

@@ -27,8 +27,6 @@ using nebula::PatternStep;
 using nebula::Query;
 using nebula::Schema;
 using nebula::Sub;
-using nebula::Value;
-using nebula::ValueAsDouble;
 
 namespace {
 
@@ -65,25 +63,26 @@ Result<std::shared_ptr<DemoEnvironment>> DemoEnvironment::Create() {
   NM_RETURN_NOT_OK(RegisterMeosPlugin(env->geofences_));
   SetActiveGeofences(env->geofences_);
   // Q4's weather-conditioned advisory limit as a runtime-registered
-  // function: weather_speed_limit(condition, intensity, default_kmh).
+  // numeric function, so Q4's Map→Filter→Project fuses into one compiled
+  // kernel run: weather_speed_limit(condition, intensity, default_kmh).
   if (!nebula::ExpressionRegistry::Global().Contains("weather_speed_limit")) {
-    NM_RETURN_NOT_OK(nebula::RegisterLambdaFunction(
-        "weather_speed_limit", 3, DataType::kDouble,
-        [](const std::vector<Value>& args) -> Value {
+    NM_RETURN_NOT_OK(nebula::RegisterScalarFunction(
+        "weather_speed_limit", 3, DataType::kDouble, [](const double* v) {
+          // A value outside the condition codes (NaN included) names no
+          // condition and, like an unknown code, leaves the default.
+          const bool known = v[0] >= 0.0 && v[0] < 5.0;
           return sncb::WeatherSpeedLimitKmh(
               static_cast<sncb::WeatherCondition>(
-                  nebula::ValueAsInt64(args[0])),
-              ValueAsDouble(args[1]), ValueAsDouble(args[2]));
+                  known ? static_cast<int64_t>(v[0]) : int64_t{-1}),
+              v[1], v[2]);
         }));
   }
   // weather_cell(lon, lat): the weather-grid cell of a position (join key
   // for the Q4 join variant).
   if (!nebula::ExpressionRegistry::Global().Contains("weather_cell")) {
-    NM_RETURN_NOT_OK(nebula::RegisterLambdaFunction(
-        "weather_cell", 2, DataType::kInt64,
-        [](const std::vector<Value>& args) -> Value {
-          return sncb::WeatherCellOf(ValueAsDouble(args[0]),
-                                     ValueAsDouble(args[1]));
+    NM_RETURN_NOT_OK(nebula::RegisterScalarFunction(
+        "weather_cell", 2, DataType::kInt64, [](const double* v) {
+          return static_cast<double>(sncb::WeatherCellOf(v[0], v[1]));
         }));
   }
   return env;

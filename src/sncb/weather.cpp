@@ -47,9 +47,20 @@ double WeatherSpeedLimitKmh(WeatherCondition c, double intensity,
   return std::min(default_kmh, limit);
 }
 
+namespace {
+
+// Truncates \p v into [0, max] in floating point before converting, so a
+// NaN, infinite or far-away coordinate still lands in an edge cell.
+int GridIndex(double v, int max) {
+  return v >= 1.0 ? static_cast<int>(std::min(v, static_cast<double>(max)))
+                  : 0;
+}
+
+}  // namespace
+
 int64_t WeatherCellOf(double lon, double lat) {
-  const int gx = std::clamp(static_cast<int>((lon - 2.5) / 1.2), 0, 2);
-  const int gy = std::clamp(static_cast<int>((lat - 49.4) / 1.0), 0, 1);
+  const int gx = GridIndex((lon - 2.5) / 1.2, 2);
+  const int gy = GridIndex((lat - 49.4) / 1.0, 1);
   return gx + 3 * gy;
 }
 

@@ -45,7 +45,8 @@ struct WeatherSample {
 
 /// Index of the weather grid cell containing (lon, lat) — the same 3x2
 /// grid `PopulateSncbGeofences` registers as weather zones. Clamped to the
-/// grid, so every position maps to a cell.
+/// grid, so every position maps to a cell (a NaN coordinate to the first
+/// row or column).
 int64_t WeatherCellOf(double lon, double lat);
 
 /// \brief Deterministic per-zone weather: conditions are stable within an

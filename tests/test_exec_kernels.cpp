@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 
+#include "common/random.hpp"
 #include "nebula/engine.hpp"
 #include "nebula/exec/kernels.hpp"
 #include "queries/queries.hpp"
@@ -126,6 +128,150 @@ TEST(CompiledExpr, TextExpressionsRefuseToCompile) {
   ExprPtr boxed = Fn("test_boxed_identity", {Attribute("value")});
   ASSERT_TRUE(boxed->Bind(schema).ok());
   EXPECT_EQ(boxed->CompileKernel(schema), nullptr);
+}
+
+// --- Batch-entry parity ------------------------------------------------------
+
+Schema ProbeSchema() {
+  return Schema::Build()
+      .AddDouble("lon")
+      .AddDouble("lat")
+      .AddTimestamp("ts")
+      .AddInt64("cond")
+      .AddDouble("intensity")
+      .AddDouble("value")
+      .Finish();
+}
+
+// Rows spread over and around every registered zone's box, with weather
+// condition codes 0..5 (5 names no condition) and signed values.
+std::shared_ptr<TupleBuffer> MakeProbeBuffer(
+    const integration::GeofenceRegistry& zones, int n) {
+  auto buf = std::make_shared<TupleBuffer>(ProbeSchema(), n);
+  Rng rng(17);
+  for (int i = 0; i < n; ++i) {
+    const meos::GeoBox box =
+        zones.zones()[static_cast<size_t>(i) % zones.NumZones()].BoundingBox();
+    const double mx = 0.2 * (box.xmax - box.xmin);
+    const double my = 0.2 * (box.ymax - box.ymin);
+    RecordWriter w = buf->Append();
+    w.SetDouble(0, rng.Uniform(box.xmin - mx, box.xmax + mx));
+    w.SetDouble(1, rng.Uniform(box.ymin - my, box.ymax + my));
+    w.SetInt64(2, Seconds(i));
+    w.SetInt64(3, i % 6);
+    w.SetDouble(4, rng.Uniform());
+    w.SetDouble(5, rng.Uniform(-4.0, 4.0));
+  }
+  return buf;
+}
+
+// One registered function called with its first argument supplied by the
+// caller — a field for the per-row columns, a literal for the constant
+// variant — and the rest fixed.
+struct ParityCase {
+  std::string first_field;
+  ExprPtr first_constant;
+  std::function<ExprPtr(ExprPtr first)> make;
+};
+
+std::vector<ParityCase> ParityCases() {
+  auto lon_lat = [](std::string name, std::vector<ExprPtr> rest) {
+    return [name, rest](ExprPtr lon) {
+      std::vector<ExprPtr> args = {std::move(lon), Attribute("lat")};
+      args.insert(args.end(), rest.begin(), rest.end());
+      return Fn(name, std::move(args));
+    };
+  };
+  auto text = [](const char* v) { return Lit(std::string(v)); };
+  std::vector<ParityCase> cases = {
+      {"lon", Lit(4.35),
+       lon_lat("edwithin", {text("station:Brussels-Midi"), Lit(20000.0)})},
+      {"lon", Lit(4.35),
+       lon_lat("edwithin", {text("workshop:Schaarbeek:gate"), Lit(9000.0)})},
+      {"lon", Lit(4.35),
+       [](ExprPtr lon) {
+         return Fn("tpoint_at_stbox",
+                   {std::move(lon), Attribute("lat"), Attribute("ts"),
+                    Lit(3.0), Lit(50.0), Lit(5.0), Lit(51.0), Lit(int64_t{0}),
+                    Lit(Seconds(200))});
+       }},
+      {"lon", Lit(4.35), lon_lat("in_zone", {text("weather:cell-1")})},
+      {"lon", Lit(4.35), lon_lat("zone_speed_limit", {Lit(120.0)})},
+      {"lon", Lit(4.35), lon_lat("nearest_poi_distance", {text("workshop")})},
+      {"lon", Lit(4.35), lon_lat("nearest_poi_id", {text("workshop")})},
+      {"lon", Lit(4.35), lon_lat("haversine_m", {Lit(4.35), Lit(50.85)})},
+      {"lon", Lit(4.35), lon_lat("weather_cell", {})},
+      {"cond", Lit(int64_t{2}),
+       [](ExprPtr cond) {
+         return Fn("weather_speed_limit",
+                   {std::move(cond), Attribute("intensity"), Lit(120.0)});
+       }},
+      {"value", Lit(-2.5),
+       [](ExprPtr v) { return Fn("abs", {std::move(v)}); }},
+      {"value", Lit(2.25),
+       [](ExprPtr v) { return Fn("sqrt", {std::move(v)}); }},
+      {"value", Lit(0.5),
+       [](ExprPtr v) {
+         return Fn("least", {std::move(v), Attribute("intensity")});
+       }},
+      {"value", Lit(0.5),
+       [](ExprPtr v) {
+         return Fn("greatest", {std::move(v), Attribute("intensity")});
+       }},
+      {"value", Lit(3.0),
+       [](ExprPtr v) {
+         return Fn("clamp", {std::move(v), Lit(-1.0), Attribute("intensity")});
+       }},
+  };
+  for (const char* kind : {"", "maintenance", "station", "workshop",
+                           "noise_sensitive", "high_risk", "weather"}) {
+    cases.push_back(
+        {"lon", Lit(4.35), lon_lat("in_zone_kind", {text(kind)})});
+    cases.push_back({"lon", Lit(4.35), lon_lat("zone_id", {text(kind)})});
+  }
+  return cases;
+}
+
+// Compiles `expr` and compares its batch result over `sel` (every row when
+// null) with the interpreter, row by row.
+void ExpectBatchMatchesInterpreter(const ExprPtr& expr, const TupleBuffer& buf,
+                                   const exec::SelectionVector* sel) {
+  ASSERT_TRUE(expr->Bind(buf.schema()).ok()) << expr->ToString();
+  exec::KernelPtr kernel = expr->CompileKernel(buf.schema());
+  ASSERT_NE(kernel, nullptr) << expr->ToString();
+  const exec::RowSpan span = exec::SpanOf(buf, sel);
+  std::vector<double> out(span.count);
+  kernel->EvalAsDouble(span, out.data());
+  for (size_t i = 0; i < span.count; ++i) {
+    const size_t row = sel != nullptr ? (*sel)[i] : i;
+    EXPECT_EQ(out[i], ValueAsDouble(expr->Eval(buf.At(row))))
+        << expr->ToString() << " at row " << row;
+  }
+}
+
+TEST(CompiledExpr, EveryScalarFunctionBatchMatchesTheInterpreter) {
+  auto env = queries::DemoEnvironment::Create();
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  auto buf = MakeProbeBuffer(*(*env)->geofences(), 700);
+  exec::SelectionVector partial;
+  for (uint32_t i = 1; i < buf->size(); i += 3) partial.push_back(i);
+
+  const std::vector<ParityCase> cases = ParityCases();
+  std::set<std::string> covered;
+  for (const ParityCase& c : cases) {
+    const ExprPtr columns = c.make(Attribute(c.first_field));
+    covered.insert(static_cast<const FunctionExpression&>(*columns).name());
+    ExpectBatchMatchesInterpreter(columns, *buf, nullptr);
+    ExpectBatchMatchesInterpreter(columns, *buf, &partial);
+    ExpectBatchMatchesInterpreter(c.make(c.first_constant), *buf, nullptr);
+  }
+  // Every registered function outside this binary's own test functions is
+  // in the table, so a newly registered one cannot skip the parity check.
+  for (const std::string& name :
+       ExpressionRegistry::Global().RegisteredNames()) {
+    if (name.rfind("test", 0) == 0) continue;
+    EXPECT_EQ(covered.count(name), 1u) << name << " has no parity case";
+  }
 }
 
 // --- Fusion shape -----------------------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "common/random.hpp"
 #include "nebulameos/geofence.hpp"
 #include "sncb/network.hpp"
 
@@ -114,18 +117,234 @@ TEST_F(RegistryTest, NearestPoiByKind) {
   EXPECT_NE(registry_.NearestPoi({4.49, 50.90}, "", &dist), nullptr);
 }
 
-TEST_F(RegistryTest, IndexAndLinearScanAgree) {
-  // Property: containment answers must not depend on the grid index.
-  for (int i = 0; i < 200; ++i) {
-    const Point p{3.9 + 0.002 * i, 49.95 + 0.0015 * i};
-    registry_.SetIndexEnabled(true);
-    const bool indexed = registry_.InAnyZone(p);
-    const int64_t id_indexed = registry_.ZoneIdAt(p);
-    registry_.SetIndexEnabled(false);
-    EXPECT_EQ(registry_.InAnyZone(p), indexed) << "i=" << i;
-    EXPECT_EQ(registry_.ZoneIdAt(p), id_indexed) << "i=" << i;
+const std::vector<std::optional<ZoneKind>>& AllKindFilters() {
+  static const std::vector<std::optional<ZoneKind>> kinds = {
+      std::nullopt,          ZoneKind::kMaintenance,
+      ZoneKind::kStation,    ZoneKind::kWorkshop,
+      ZoneKind::kNoiseSensitive, ZoneKind::kHighRisk,
+      ZoneKind::kWeather};
+  return kinds;
+}
+
+std::vector<int64_t> Ids(const std::vector<const Zone*>& zones) {
+  std::vector<int64_t> ids;
+  for (const Zone* z : zones) ids.push_back(z->id);
+  return ids;
+}
+
+// Property: no probe answer depends on the grid index. For every probe
+// point and every kind filter (and none), `InAnyZone`, `ZoneIdAt`,
+// `ZonesContaining` and `SpeedLimitAt` with the index on equal the linear
+// scan's answers, and the batch forms equal the scalar ones in both modes.
+void ExpectIndexMatchesScan(GeofenceRegistry* registry,
+                            const std::vector<Point>& probes) {
+  const size_t n = probes.size();
+  std::vector<double> xs(n), ys(n), batch(n);
+  for (size_t i = 0; i < n; ++i) {
+    xs[i] = probes[i].x;
+    ys[i] = probes[i].y;
   }
-  registry_.SetIndexEnabled(true);
+  for (const bool indexed : {true, false}) {
+    registry->SetIndexEnabled(indexed);
+    for (const auto& kind : AllKindFilters()) {
+      registry->InAnyZone(xs.data(), ys.data(), n, kind, batch.data());
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(batch[i], registry->InAnyZone(probes[i], kind) ? 1.0 : 0.0)
+            << "indexed=" << indexed << " i=" << i;
+      }
+      registry->ZoneIdAt(xs.data(), ys.data(), n, kind, batch.data());
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(batch[i],
+                  static_cast<double>(registry->ZoneIdAt(probes[i], kind)))
+            << "indexed=" << indexed << " i=" << i;
+      }
+    }
+    registry->SpeedLimitAt(xs.data(), ys.data(), n, 120.0, batch.data());
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(batch[i], registry->SpeedLimitAt(probes[i], 120.0))
+          << "indexed=" << indexed << " i=" << i;
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const Point& p = probes[i];
+    SCOPED_TRACE(::testing::Message() << "probe " << i << " (" << p.x << ", "
+                                      << p.y << ")");
+    for (const auto& kind : AllKindFilters()) {
+      registry->SetIndexEnabled(true);
+      const bool in_indexed = registry->InAnyZone(p, kind);
+      const int64_t id_indexed = registry->ZoneIdAt(p, kind);
+      const auto all_indexed = Ids(registry->ZonesContaining(p, kind));
+      registry->SetIndexEnabled(false);
+      EXPECT_EQ(registry->InAnyZone(p, kind), in_indexed);
+      EXPECT_EQ(registry->ZoneIdAt(p, kind), id_indexed);
+      EXPECT_EQ(Ids(registry->ZonesContaining(p, kind)), all_indexed);
+      // The lowest id: the first of the ascending containing list.
+      EXPECT_EQ(id_indexed, all_indexed.empty() ? -1 : all_indexed.front());
+    }
+    registry->SetIndexEnabled(true);
+    const double limit_indexed = registry->SpeedLimitAt(p, 120.0);
+    registry->SetIndexEnabled(false);
+    EXPECT_EQ(registry->SpeedLimitAt(p, 120.0), limit_indexed);
+  }
+  registry->SetIndexEnabled(true);
+}
+
+// Probes no index may answer with a zone: NaN, infinite, huge and mixed
+// coordinates.
+std::vector<Point> NonFiniteProbes() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Point> probes;
+  for (const double bad : {nan, inf, -inf, 1e300, -1e300, 1e9, -1e9}) {
+    probes.push_back({bad, 50.85});
+    probes.push_back({4.35, bad});
+    probes.push_back({bad, bad});
+  }
+  return probes;
+}
+
+// Seeded probes over \p registry: uniform points around and far beyond
+// the zones (negative coordinates included), every zone box's corners and
+// edge midpoints, exact grid-cell boundaries, and the non-finite probes.
+std::vector<Point> SeededProbes(const GeofenceRegistry& registry,
+                                uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Point> probes;
+  for (int i = 0; i < 1500; ++i) {
+    probes.push_back({rng.Uniform(2.0, 7.0), rng.Uniform(49.0, 52.0)});
+  }
+  for (int i = 0; i < 200; ++i) {
+    probes.push_back({rng.Uniform(-200.0, 200.0), rng.Uniform(-100.0, 100.0)});
+  }
+  for (const Zone& z : registry.zones()) {
+    const meos::GeoBox b = z.BoundingBox();
+    const double mx = 0.5 * (b.xmin + b.xmax);
+    const double my = 0.5 * (b.ymin + b.ymax);
+    for (const Point& p : {Point{b.xmin, b.ymin}, Point{b.xmax, b.ymax},
+                           Point{b.xmin, my}, Point{b.xmax, my},
+                           Point{mx, b.ymin}, Point{mx, b.ymax},
+                           Point{mx, my}}) {
+      probes.push_back(p);
+    }
+  }
+  // Grid-cell boundaries (the default 0.05-degree cells), and one cell
+  // either side.
+  for (int k = 40; k <= 130; ++k) {
+    const double x = k * 0.05;
+    probes.push_back({x, 50.85});
+    probes.push_back({x, rng.Uniform(49.0, 52.0)});
+    probes.push_back({4.35, 48.0 + 0.05 * (k - 40) * 0.5});
+    probes.push_back({std::nextafter(x, 0.0), std::nextafter(50.4, 0.0)});
+  }
+  for (const Point& p : NonFiniteProbes()) probes.push_back(p);
+  return probes;
+}
+
+TEST_F(RegistryTest, IndexAndLinearScanAgree) {
+  std::vector<Point> probes;
+  for (int i = 0; i < 200; ++i) {
+    probes.push_back({3.9 + 0.002 * i, 49.95 + 0.0015 * i});
+  }
+  ExpectIndexMatchesScan(&registry_, probes);
+
+  // The real inventory: every SNCB zone kind, weather polygons tiling the
+  // country (adjacent cells share edges, so edge points lie in two zones
+  // of one kind), seeded probes.
+  const sncb::RailNetwork network = sncb::BuildBelgianNetwork();
+  GeofenceRegistry sncb_registry;
+  sncb::PopulateSncbGeofences(network, &sncb_registry);
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    ExpectIndexMatchesScan(&sncb_registry, SeededProbes(sncb_registry, seed));
+  }
+}
+
+TEST(RegistryIndex, NonFiniteAndFarProbesAnswerNoZone) {
+  const sncb::RailNetwork network = sncb::BuildBelgianNetwork();
+  GeofenceRegistry registry;
+  sncb::PopulateSncbGeofences(network, &registry);
+  const std::vector<Point> probes = NonFiniteProbes();
+  for (const bool indexed : {true, false}) {
+    registry.SetIndexEnabled(indexed);
+    for (const Point& p : probes) {
+      SCOPED_TRACE(::testing::Message() << "indexed=" << indexed << " ("
+                                        << p.x << ", " << p.y << ")");
+      for (const auto& kind : AllKindFilters()) {
+        EXPECT_FALSE(registry.InAnyZone(p, kind));
+        EXPECT_EQ(registry.ZoneIdAt(p, kind), -1);
+        EXPECT_TRUE(registry.ZonesContaining(p, kind).empty());
+      }
+      EXPECT_EQ(registry.SpeedLimitAt(p, 120.0), 120.0);
+    }
+  }
+}
+
+TEST(RegistryIndex, EmptyRegistryAnswersNoZone) {
+  GeofenceRegistry registry;
+  std::vector<Point> probes = {{0.0, 0.0}, {4.35, 50.85}, {-3.0, -7.5}};
+  for (const Point& p : NonFiniteProbes()) probes.push_back(p);
+  for (const Point& p : probes) {
+    EXPECT_FALSE(registry.InAnyZone(p));
+    EXPECT_EQ(registry.ZoneIdAt(p), -1);
+    EXPECT_EQ(registry.SpeedLimitAt(p, 90.0), 90.0);
+  }
+  ExpectIndexMatchesScan(&registry, probes);
+}
+
+TEST(RegistryIndex, ZonesAddedAfterAProbeAreIndexed) {
+  GeofenceRegistry registry;
+  registry.AddPolygonZone("a", ZoneKind::kStation, Rect(4.0, 50.0, 4.1, 50.1));
+  const Point far{-3.55, -7.45};  // outside the first grid extent
+  EXPECT_FALSE(registry.InAnyZone(far));
+  const int64_t b = registry.AddCircleZone("b", ZoneKind::kHighRisk,
+                                           Circle{far, 2000.0}, 50.0);
+  EXPECT_TRUE(registry.InAnyZone(far));
+  EXPECT_EQ(registry.ZoneIdAt(far, ZoneKind::kHighRisk), b);
+  EXPECT_EQ(registry.SpeedLimitAt(far, 120.0), 50.0);
+  EXPECT_TRUE(registry.InAnyZone({4.05, 50.05}, ZoneKind::kStation));
+  ExpectIndexMatchesScan(&registry, {far, {4.05, 50.05}, {4.099, 50.001}});
+}
+
+TEST(RegistryIndex, OverlappingSameKindZonesAnswerTheLowestId) {
+  GeofenceRegistry registry;
+  const int64_t wide = registry.AddPolygonZone(
+      "wide", ZoneKind::kMaintenance, Rect(4.0, 50.0, 4.5, 50.5), 60.0);
+  const int64_t inner = registry.AddPolygonZone(
+      "inner", ZoneKind::kMaintenance, Rect(4.2, 50.2, 4.3, 50.3), 30.0);
+  const int64_t circle = registry.AddCircleZone(
+      "circle", ZoneKind::kMaintenance, Circle{{4.25, 50.25}, 500.0}, 80.0);
+  const Point p{4.25, 50.25};
+  for (const bool indexed : {true, false}) {
+    registry.SetIndexEnabled(indexed);
+    EXPECT_EQ(registry.ZoneIdAt(p, ZoneKind::kMaintenance), wide);
+    EXPECT_EQ(Ids(registry.ZonesContaining(p)),
+              (std::vector<int64_t>{wide, inner, circle}));
+    // The minimum limit wins, whatever the visiting order.
+    EXPECT_EQ(registry.SpeedLimitAt(p, 120.0), 30.0);
+    EXPECT_EQ(registry.ZoneIdAt({4.05, 50.05}), wide);
+    EXPECT_EQ(registry.ZoneIdAt(p, ZoneKind::kStation), -1);
+  }
+  ExpectIndexMatchesScan(&registry, SeededProbes(registry, 7));
+}
+
+TEST(RegistryIndex, ZonesBeyondTheGridBudgetAreStillFound) {
+  // Planar coordinates in metres at the default 0.05 cell size: the boxes
+  // would span ~10^15 cells, so lookups take the linear scan — with the
+  // same answers.
+  GeofenceRegistry registry(Metric::kCartesian);
+  const int64_t site = registry.AddPolygonZone(
+      "site", ZoneKind::kWorkshop, Rect(0.0, 0.0, 2e6, 3e6), 25.0);
+  const int64_t yard = registry.AddPolygonZone(
+      "yard", ZoneKind::kStation, Rect(1e6, 1e6, 1.1e6, 1.1e6), 15.0);
+  const Point inside{1.05e6, 1.05e6};
+  EXPECT_EQ(registry.ZoneIdAt(inside), site);
+  EXPECT_EQ(registry.ZoneIdAt(inside, ZoneKind::kStation), yard);
+  EXPECT_EQ(registry.SpeedLimitAt(inside, 120.0), 15.0);
+  EXPECT_FALSE(registry.InAnyZone({-5.0, 7.0}));
+  std::vector<Point> probes = {inside, {5e5, 2.5e6}, {-5.0, 7.0},
+                               {2e6, 3e6}};
+  for (const Point& p : NonFiniteProbes()) probes.push_back(p);
+  ExpectIndexMatchesScan(&registry, probes);
 }
 
 TEST(SncbGeofences, PopulatesAllKinds) {

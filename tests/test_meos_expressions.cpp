@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "nebula/exec/compiled_expr.hpp"
 #include "nebulameos/plugin.hpp"
 
 namespace nebulameos::integration {
@@ -31,7 +34,8 @@ Schema PosSchema() {
 class MeosExprTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    auto registry = std::make_shared<GeofenceRegistry>();
+    registry_ = std::make_shared<GeofenceRegistry>();
+    GeofenceRegistry* registry = registry_.get();
     registry->AddPolygonZone(
         "zone-a", ZoneKind::kMaintenance,
         *Polygon::Make({{4.0, 50.0}, {4.1, 50.0}, {4.1, 50.1}, {4.0, 50.1}}),
@@ -39,9 +43,9 @@ class MeosExprTest : public ::testing::Test {
     registry->AddCircleZone("zone-b", ZoneKind::kHighRisk,
                             Circle{{4.35, 50.85}, 1000.0}, 60.0);
     registry->AddPoi("poi-ws", "workshop", {4.37, 50.88});
-    Status st = RegisterMeosPlugin(registry);
+    Status st = RegisterMeosPlugin(registry_);
     ASSERT_TRUE(st.ok()) << st.ToString();
-    SetActiveGeofences(registry);
+    SetActiveGeofences(registry_);
   }
 
   // Evaluates `expr` on a single (lon, lat, ts) record.
@@ -61,7 +65,11 @@ class MeosExprTest : public ::testing::Test {
     for (auto& e : extra) args.push_back(std::move(e));
     return Fn(fn, std::move(args));
   }
+
+  static std::shared_ptr<GeofenceRegistry> registry_;
 };
+
+std::shared_ptr<GeofenceRegistry> MeosExprTest::registry_;
 
 TEST_F(MeosExprTest, PluginRegistered) {
   EXPECT_TRUE(MeosPluginRegistered());
@@ -182,6 +190,57 @@ TEST_F(MeosExprTest, ComposesWithNativeExpressions) {
       LonLat("edwithin", {Lit(std::string("poi-ws")), Lit(100'000.0)}));
   EXPECT_TRUE(ValueAsBool(Eval(expr, 4.35, 50.85)));
   EXPECT_FALSE(ValueAsBool(Eval(expr, 4.05, 50.05)));  // inside zone-a
+}
+
+TEST_F(MeosExprTest, NonFiniteProbesCompileLikeTheyInterpret) {
+  // NaN, infinite and huge positions reach the zone probes through both
+  // evaluation paths and both index modes: no zone, the default limit.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<double, double>> positions = {{4.05, 50.05},
+                                                      {4.35, 50.85}};
+  for (const double bad : {nan, inf, -inf, 1e300, -1e300}) {
+    positions.push_back({bad, 50.05});
+    positions.push_back({4.05, bad});
+    positions.push_back({bad, bad});
+  }
+  TupleBuffer buf(PosSchema(), positions.size());
+  for (const auto& [lon, lat] : positions) {
+    RecordWriter w = buf.Append();
+    w.SetDouble(0, lon);
+    w.SetDouble(1, lat);
+    w.SetInt64(2, 0);
+  }
+  // Each probe with its answer at a non-finite position.
+  const std::vector<std::pair<ExprPtr, double>> cases = {
+      {LonLat("in_zone_kind", {Lit(std::string(""))}), 0.0},
+      {LonLat("in_zone_kind", {Lit(std::string("maintenance"))}), 0.0},
+      {LonLat("zone_id", {Lit(std::string(""))}), -1.0},
+      {LonLat("zone_id", {Lit(std::string("high_risk"))}), -1.0},
+      {LonLat("zone_speed_limit", {Lit(120.0)}), 120.0},
+      {LonLat("in_zone", {Lit(std::string("zone-b"))}), 0.0},
+  };
+  const nebula::exec::RowSpan span = nebula::exec::SpanOf(buf, nullptr);
+  for (const bool indexed : {true, false}) {
+    registry_->SetIndexEnabled(indexed);
+    for (const auto& [expr, none] : cases) {
+      ASSERT_TRUE(expr->Bind(buf.schema()).ok()) << expr->ToString();
+      nebula::exec::KernelPtr kernel = expr->CompileKernel(buf.schema());
+      ASSERT_NE(kernel, nullptr) << expr->ToString();
+      std::vector<double> compiled(buf.size());
+      kernel->EvalAsDouble(span, compiled.data());
+      for (size_t i = 0; i < buf.size(); ++i) {
+        const double interpreted = ValueAsDouble(expr->Eval(buf.At(i)));
+        EXPECT_EQ(compiled[i], interpreted)
+            << expr->ToString() << " indexed=" << indexed << " row " << i;
+        // Rows from 2 on hold a non-finite or huge coordinate.
+        if (i >= 2) {
+          EXPECT_EQ(compiled[i], none) << expr->ToString() << " row " << i;
+        }
+      }
+    }
+  }
+  registry_->SetIndexEnabled(true);
 }
 
 TEST_F(MeosExprTest, ParseZoneKindNames) {

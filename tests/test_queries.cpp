@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
+#include "nebula/exec/compiled_expr.hpp"
+#include "nebula/exec/kernels.hpp"
 #include "queries/queries.hpp"
+#include "sncb/weather.hpp"
 
 namespace nebulameos::queries {
 namespace {
@@ -107,6 +111,87 @@ TEST_F(QueriesTest, Q4WeatherLimitNeverExceedsZoneLimit) {
     const int64_t cond = ValueAsInt64(row[6]);
     EXPECT_GE(cond, 0);
     EXPECT_LE(cond, 4);
+  }
+}
+
+TEST_F(QueriesTest, Q4CompilesIntoOneFusedKernelRun) {
+  auto built = BuildQ4WeatherSpeedZones(*env_, SmallRun());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const nebula::LogicalPlan& plan = built->plan;
+  auto pipe = nebula::CompilePlan(plan.source()->schema(), plan);
+  ASSERT_TRUE(pipe.ok()) << pipe.status().ToString();
+  // Every Map, the Filter and the Project fuse: no interpreted MapOperator
+  // is left in the compiled pipeline.
+  ASSERT_EQ(pipe->operators.size(), 1u);
+  EXPECT_NE(dynamic_cast<nebula::exec::BatchKernelOperator*>(
+                pipe->operators[0].get()),
+            nullptr)
+      << pipe->operators[0]->name();
+  for (const auto& op : pipe->operators) {
+    EXPECT_EQ(dynamic_cast<nebula::MapOperator*>(op.get()), nullptr);
+  }
+
+  // And the fused run emits exactly the interpreted rows.
+  auto run = [&](bool compiled) {
+    auto q4 = BuildQ4WeatherSpeedZones(*env_, SmallRun());
+    EXPECT_TRUE(q4.ok());
+    nebula::EngineOptions options;
+    options.worker_threads = 1;
+    options.compiled_kernels = compiled;
+    NodeEngine engine(options);
+    auto id = engine.Submit(std::move(q4->plan));
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    EXPECT_TRUE(engine.RunToCompletion(*id).ok());
+    return Sorted(q4->collect->Rows());
+  };
+  const auto compiled = run(true);
+  EXPECT_FALSE(compiled.empty());
+  EXPECT_EQ(compiled, run(false));
+}
+
+TEST_F(QueriesTest, WeatherSpeedLimitCompilesLikeItInterprets) {
+  const nebula::Schema schema = nebula::Schema::Build()
+                                    .AddInt64("condition")
+                                    .AddDouble("intensity")
+                                    .AddDouble("default_kmh")
+                                    .Finish();
+  nebula::TupleBuffer buf(schema, 256);
+  for (int64_t cond = 0; cond <= 4; ++cond) {
+    for (const double intensity : {-0.5, 0.0, 0.3, 0.75, 1.0, 1.7}) {
+      for (const double default_kmh : {60.0, 120.0, 160.0}) {
+        nebula::RecordWriter w = buf.Append();
+        w.SetInt64(0, cond);
+        w.SetDouble(1, intensity);
+        w.SetDouble(2, default_kmh);
+      }
+    }
+  }
+  nebula::ExprPtr expr = nebula::Fn(
+      "weather_speed_limit",
+      {nebula::Attribute("condition"), nebula::Attribute("intensity"),
+       nebula::Attribute("default_kmh")});
+  ASSERT_TRUE(expr->Bind(schema).ok());
+  nebula::exec::KernelPtr kernel = expr->CompileKernel(schema);
+  ASSERT_NE(kernel, nullptr);
+  std::vector<double> compiled(buf.size());
+  kernel->EvalDouble(nebula::exec::SpanOf(buf, nullptr), compiled.data());
+  for (size_t i = 0; i < buf.size(); ++i) {
+    const nebula::RecordView rec = buf.At(i);
+    const double expected = sncb::WeatherSpeedLimitKmh(
+        static_cast<sncb::WeatherCondition>(rec.GetInt64(0)),
+        rec.GetDouble(1), rec.GetDouble(2));
+    EXPECT_EQ(compiled[i], expected) << "row " << i;
+    EXPECT_EQ(ValueAsDouble(expr->Eval(rec)), expected) << "row " << i;
+  }
+  // A code naming no condition — unknown, fractional below 0, NaN —
+  // leaves the default limit.
+  for (const double code :
+       {7.0, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    nebula::ExprPtr odd = nebula::Fn(
+        "weather_speed_limit",
+        {nebula::Lit(code), nebula::Lit(1.0), nebula::Lit(120.0)});
+    ASSERT_TRUE(odd->Bind(schema).ok());
+    EXPECT_EQ(ValueAsDouble(odd->Eval(buf.At(0))), 120.0) << code;
   }
 }
 

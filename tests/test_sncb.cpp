@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sncb/network.hpp"
 #include "sncb/records.hpp"
 #include "sncb/train_sim.hpp"
@@ -101,6 +103,15 @@ TEST(Weather, CellMappingCoversBelgium) {
   // Clamped outside the grid.
   EXPECT_EQ(WeatherCellOf(-10.0, 45.0), 0);
   EXPECT_EQ(WeatherCellOf(10.0, 55.0), 5);
+  // Non-finite and huge coordinates clamp too (NaN to the first row or
+  // column), never through an out-of-range integer conversion.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(WeatherCellOf(nan, nan), 0);
+  EXPECT_EQ(WeatherCellOf(inf, inf), 5);
+  EXPECT_EQ(WeatherCellOf(-inf, 51.2), 3);
+  EXPECT_EQ(WeatherCellOf(1e300, -1e300), 2);
+  EXPECT_EQ(WeatherCellOf(5.9, nan), 2);
 }
 
 TEST(FleetSimulator, DeterministicStreams) {
