@@ -401,7 +401,8 @@ class ScalarFnKernel final : public ScalarKernel {
         args_(std::move(args)),
         const_args_(std::move(const_args)),
         cols_(args_.size()),
-        columns_(args_.size()) {}
+        col_ptrs_(args_.size()),
+        row_(args_.size()) {}
 
   void EvalBool(const RowSpan& rows, uint8_t* out) const override {
     const double* r = EvalColumn(rows, nullptr);
@@ -422,19 +423,22 @@ class ScalarFnKernel final : public ScalarKernel {
   // into \p out (or the result scratch when null); returns the column.
   const double* EvalColumn(const RowSpan& rows, double* out) const {
     for (size_t a = 0; a < args_.size(); ++a) {
+      std::vector<double>& col = cols_[a];
       if (args_[a] == nullptr) {
-        columns_[a] = ScalarColumn{&const_args_[a], true};
-        continue;
+        // A constant's column holds the constant in every entry and never
+        // shrinks: it is written only when a batch outgrows it.
+        if (col.size() < rows.count) col.resize(rows.count, const_args_[a]);
+      } else {
+        col.resize(rows.count);
+        args_[a]->EvalAsDouble(rows, col.data());
       }
-      cols_[a].resize(rows.count);
-      args_[a]->EvalAsDouble(rows, cols_[a].data());
-      columns_[a] = ScalarColumn{cols_[a].data(), false};
+      col_ptrs_[a] = col.data();
     }
     if (out == nullptr) {
       result_.resize(rows.count);
       out = result_.data();
     }
-    fn_->EvalScalarBatch(columns_.data(), rows.count, out);
+    fn_->EvalScalarBatch(col_ptrs_.data(), rows.count, row_.data(), out);
     return out;
   }
 
@@ -442,7 +446,8 @@ class ScalarFnKernel final : public ScalarKernel {
   std::vector<KernelPtr> args_;  ///< nullptr entries are constants
   std::vector<double> const_args_;
   mutable std::vector<std::vector<double>> cols_;
-  mutable std::vector<ScalarColumn> columns_;
+  mutable std::vector<const double*> col_ptrs_;
+  mutable std::vector<double> row_;
   mutable std::vector<double> result_;
 };
 

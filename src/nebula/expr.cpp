@@ -592,13 +592,13 @@ exec::KernelPtr FunctionExpression::CompileKernel(const Schema& schema) const {
                                   std::move(const_args));
 }
 
-void FunctionExpression::EvalScalarBatch(const ScalarColumn* args,
-                                         size_t count, double* out) const {
+void FunctionExpression::EvalScalarBatch(const double* const* args,
+                                         size_t count, double* row,
+                                         double* out) const {
   const size_t arity = args_.size();
-  std::vector<double> row(arity);
   for (size_t i = 0; i < count; ++i) {
     for (size_t a = 0; a < arity; ++a) row[a] = args[a][i];
-    out[i] = EvalScalar(row.data());
+    out[i] = EvalScalar(row);
   }
 }
 

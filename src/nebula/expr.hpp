@@ -138,16 +138,6 @@ ExprPtr Not(ExprPtr inner);
 
 // --- Extensible functions ----------------------------------------------------
 
-/// \brief One argument column of a batch call
-/// (`FunctionExpression::EvalScalarBatch`): one widened value per row, or
-/// — for a bind-time constant argument — one value every row shares.
-struct ScalarColumn {
-  const double* values = nullptr;
-  bool constant = false;
-
-  double operator[](size_t row) const { return values[constant ? 0 : row]; }
-};
-
 /// \brief Base class for registered n-ary functions.
 ///
 /// Subclasses implement `EvalFn` over evaluated argument values and declare
@@ -175,12 +165,14 @@ class FunctionExpression : public Expression {
   exec::KernelPtr CompileKernel(const Schema& schema) const override;
 
   /// The batch entry of a compiled function: `args[a]` is the a-th
-  /// argument's column (`args().size()` of them) over \p count rows, and
-  /// `out[i]` receives row i's result with `EvalScalar`'s contract. The
-  /// default loops `EvalScalar` once per row; functions with a cheaper
-  /// whole-batch form (the geofence probes) override it.
-  virtual void EvalScalarBatch(const ScalarColumn* args, size_t count,
-                               double* out) const;
+  /// argument's column (`args().size()` of them, constants included) over
+  /// \p count rows, and `out[i]` receives row i's result with
+  /// `EvalScalar`'s contract. \p row is the caller's scratch of
+  /// `args().size()` doubles, so a batch allocates nothing. The default
+  /// runs `EvalScalar` once per row; the geofence probes override it with
+  /// the registry's batch probes, which save a virtual call per row.
+  virtual void EvalScalarBatch(const double* const* args, size_t count,
+                               double* row, double* out) const;
 
   const std::string& name() const { return name_; }
   const std::vector<ExprPtr>& args() const { return args_; }

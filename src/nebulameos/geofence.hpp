@@ -86,11 +86,14 @@ class GeofenceRegistry {
   explicit GeofenceRegistry(Metric metric = Metric::kWgs84,
                             double cell_deg = 0.05);
 
-  /// Registers a polygon zone; returns its id.
+  /// Registers a polygon zone; returns its id. Every `Add*Zone` rebuilds
+  /// the whole grid from all zones, so adding n zones one by one costs
+  /// O(n x cells) in total.
   int64_t AddPolygonZone(std::string name, ZoneKind kind, Polygon polygon,
                          double speed_limit_kmh = 0.0);
 
-  /// Registers a circular zone; returns its id.
+  /// Registers a circular zone; returns its id. Rebuilds the grid, as
+  /// `AddPolygonZone` does.
   int64_t AddCircleZone(std::string name, ZoneKind kind, Circle circle,
                         double speed_limit_kmh = 0.0);
 
@@ -123,7 +126,7 @@ class GeofenceRegistry {
 
   /// Batch forms of the three probes above for compiled kernels: entry
   /// \p i of \p out answers the probe at (`xs[i]`, `ys[i]`) — `InAnyZone`
-  /// as 0/1, `ZoneIdAt` as the id. No allocation.
+  /// as 0/1, `ZoneIdAt` as the id. No allocation; one call serves the batch.
   void InAnyZone(const double* xs, const double* ys, size_t n,
                  std::optional<ZoneKind> kind, double* out) const;
   void ZoneIdAt(const double* xs, const double* ys, size_t n,

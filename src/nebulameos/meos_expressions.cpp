@@ -50,12 +50,6 @@ Status CheckArity(const std::vector<ExprPtr>& args, size_t arity,
   return Status::OK();
 }
 
-// Whether a batch's position arguments are both per-row columns (a
-// constant lon or lat takes the default per-row loop instead).
-bool PositionColumns(const nebula::ScalarColumn* args) {
-  return !args[0].constant && !args[1].constant;
-}
-
 Result<std::shared_ptr<const GeofenceRegistry>> RequireGeofences(
     const std::string& fn) {
   auto reg = ActiveGeofences();
@@ -240,13 +234,10 @@ double InZoneKindExpression::EvalScalar(const double* args) const {
   return registry_->InAnyZone(Point{args[0], args[1]}, kind_) ? 1.0 : 0.0;
 }
 
-void InZoneKindExpression::EvalScalarBatch(const nebula::ScalarColumn* args,
-                                           size_t count, double* out) const {
-  if (!PositionColumns(args)) {
-    FunctionExpression::EvalScalarBatch(args, count, out);
-    return;
-  }
-  registry_->InAnyZone(args[0].values, args[1].values, count, kind_, out);
+void InZoneKindExpression::EvalScalarBatch(const double* const* args,
+                                           size_t count, double* /*row*/,
+                                           double* out) const {
+  registry_->InAnyZone(args[0], args[1], count, kind_, out);
 }
 
 // --- ZoneIdExpression ----------------------------------------------------------
@@ -276,13 +267,10 @@ double ZoneIdExpression::EvalScalar(const double* args) const {
       registry_->ZoneIdAt(Point{args[0], args[1]}, kind_));
 }
 
-void ZoneIdExpression::EvalScalarBatch(const nebula::ScalarColumn* args,
-                                       size_t count, double* out) const {
-  if (!PositionColumns(args)) {
-    FunctionExpression::EvalScalarBatch(args, count, out);
-    return;
-  }
-  registry_->ZoneIdAt(args[0].values, args[1].values, count, kind_, out);
+void ZoneIdExpression::EvalScalarBatch(const double* const* args,
+                                       size_t count, double* /*row*/,
+                                       double* out) const {
+  registry_->ZoneIdAt(args[0], args[1], count, kind_, out);
 }
 
 // --- ZoneSpeedLimitExpression -----------------------------------------------------
@@ -312,14 +300,10 @@ double ZoneSpeedLimitExpression::EvalScalar(const double* args) const {
   return registry_->SpeedLimitAt(Point{args[0], args[1]}, default_kmh_);
 }
 
-void ZoneSpeedLimitExpression::EvalScalarBatch(
-    const nebula::ScalarColumn* args, size_t count, double* out) const {
-  if (!PositionColumns(args)) {
-    FunctionExpression::EvalScalarBatch(args, count, out);
-    return;
-  }
-  registry_->SpeedLimitAt(args[0].values, args[1].values, count,
-                          default_kmh_, out);
+void ZoneSpeedLimitExpression::EvalScalarBatch(const double* const* args,
+                                               size_t count, double* /*row*/,
+                                               double* out) const {
+  registry_->SpeedLimitAt(args[0], args[1], count, default_kmh_, out);
 }
 
 // --- NearestPoiDistanceExpression ----------------------------------------------------

@@ -126,7 +126,7 @@ class InZoneKindExpression : public nebula::FunctionExpression {
   explicit InZoneKindExpression(std::vector<nebula::ExprPtr> args);
   static Result<nebula::ExprPtr> Make(std::vector<nebula::ExprPtr> args);
   /// Batch entry: one registry batch probe over the position columns.
-  void EvalScalarBatch(const nebula::ScalarColumn* args, size_t count,
+  void EvalScalarBatch(const double* const* args, size_t count, double* row,
                        double* out) const override;
 
  protected:
@@ -147,7 +147,7 @@ class ZoneIdExpression : public nebula::FunctionExpression {
   explicit ZoneIdExpression(std::vector<nebula::ExprPtr> args);
   static Result<nebula::ExprPtr> Make(std::vector<nebula::ExprPtr> args);
   /// Batch entry: one registry batch probe over the position columns.
-  void EvalScalarBatch(const nebula::ScalarColumn* args, size_t count,
+  void EvalScalarBatch(const double* const* args, size_t count, double* row,
                        double* out) const override;
 
  protected:
@@ -168,7 +168,7 @@ class ZoneSpeedLimitExpression : public nebula::FunctionExpression {
   explicit ZoneSpeedLimitExpression(std::vector<nebula::ExprPtr> args);
   static Result<nebula::ExprPtr> Make(std::vector<nebula::ExprPtr> args);
   /// Batch entry: one registry batch probe over the position columns.
-  void EvalScalarBatch(const nebula::ScalarColumn* args, size_t count,
+  void EvalScalarBatch(const double* const* args, size_t count, double* row,
                        double* out) const override;
 
  protected:

@@ -232,20 +232,24 @@ std::vector<ParityCase> ParityCases() {
   return cases;
 }
 
-// Compiles `expr` and compares its batch result over `sel` (every row when
-// null) with the interpreter, row by row.
-void ExpectBatchMatchesInterpreter(const ExprPtr& expr, const TupleBuffer& buf,
-                                   const exec::SelectionVector* sel) {
+// Compiles `expr` once and compares its batch result over each selection
+// in turn (every row when null) with the interpreter, row by row. One
+// kernel runs every batch, so its scratch columns shrink and grow.
+void ExpectBatchMatchesInterpreter(
+    const ExprPtr& expr, const TupleBuffer& buf,
+    const std::vector<const exec::SelectionVector*>& sels) {
   ASSERT_TRUE(expr->Bind(buf.schema()).ok()) << expr->ToString();
   exec::KernelPtr kernel = expr->CompileKernel(buf.schema());
   ASSERT_NE(kernel, nullptr) << expr->ToString();
-  const exec::RowSpan span = exec::SpanOf(buf, sel);
-  std::vector<double> out(span.count);
-  kernel->EvalAsDouble(span, out.data());
-  for (size_t i = 0; i < span.count; ++i) {
-    const size_t row = sel != nullptr ? (*sel)[i] : i;
-    EXPECT_EQ(out[i], ValueAsDouble(expr->Eval(buf.At(row))))
-        << expr->ToString() << " at row " << row;
+  for (const exec::SelectionVector* sel : sels) {
+    const exec::RowSpan span = exec::SpanOf(buf, sel);
+    std::vector<double> out(span.count);
+    kernel->EvalAsDouble(span, out.data());
+    for (size_t i = 0; i < span.count; ++i) {
+      const size_t row = sel != nullptr ? (*sel)[i] : i;
+      EXPECT_EQ(out[i], ValueAsDouble(expr->Eval(buf.At(row))))
+          << expr->ToString() << " at row " << row;
+    }
   }
 }
 
@@ -261,9 +265,11 @@ TEST(CompiledExpr, EveryScalarFunctionBatchMatchesTheInterpreter) {
   for (const ParityCase& c : cases) {
     const ExprPtr columns = c.make(Attribute(c.first_field));
     covered.insert(static_cast<const FunctionExpression&>(*columns).name());
-    ExpectBatchMatchesInterpreter(columns, *buf, nullptr);
-    ExpectBatchMatchesInterpreter(columns, *buf, &partial);
-    ExpectBatchMatchesInterpreter(c.make(c.first_constant), *buf, nullptr);
+    // A partial batch, then every row, then a partial batch again.
+    const std::vector<const exec::SelectionVector*> sels = {&partial, nullptr,
+                                                            &partial};
+    ExpectBatchMatchesInterpreter(columns, *buf, sels);
+    ExpectBatchMatchesInterpreter(c.make(c.first_constant), *buf, sels);
   }
   // Every registered function outside this binary's own test functions is
   // in the table, so a newly registered one cannot skip the parity check.
