@@ -211,8 +211,10 @@ Result<SweepResult> RunThreadSweep(const Workload& workload,
     uint64_t rows = 0;
     const int64_t start = MonotonicNowMicros();
     {
-      WorkerPool pool(n);
+      // Declared first: the pool's destructor runs the queued tasks, so
+      // the strands must outlive it.
       std::vector<std::unique_ptr<WorkerPool::Strand>> strands;
+      WorkerPool pool(n);
       for (size_t w = 0; w < n; ++w) strands.push_back(pool.MakeStrand());
       size_t next = 0;
       for (int r = 0; r < repeats; ++r) {
@@ -220,15 +222,16 @@ Result<SweepResult> RunThreadSweep(const Workload& workload,
           rows += buf->size();
           const size_t w = next++ % n;
           CompiledPipeline* pipe = &pipes[w];
-          strands[w]->Post([pipe, buf, &errors] {
-            if (!PushBatch(pipe, 0, exec::Batch(buf)).ok()) {
-              errors.fetch_add(1, std::memory_order_relaxed);
-            }
-          });
+          strands[w]->Post(
+              [pipe, buf, &errors] {
+                if (!PushBatch(pipe, 0, exec::Batch(buf)).ok()) {
+                  errors.fetch_add(1, std::memory_order_relaxed);
+                }
+              },
+              WorkerPool::Poster::kIngest);
         }
       }
-      pool.Drain();
-    }
+    }  // the pool's destructor runs every posted task
     const double seconds =
         static_cast<double>(MonotonicNowMicros() - start) / 1e6;
     if (errors.load() != 0) {

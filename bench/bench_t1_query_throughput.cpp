@@ -123,9 +123,9 @@ FanOutRows RunFanOutComparison(const DemoEnvironment& env,
 }
 
 // Morsel scaling: the shared-ingest fan-out plan swept over worker
-// counts 1/2/4. Every run ingests on the query's one run thread, so the
-// sweep isolates what the worker pool adds: concurrent branches plus the
-// hash-partitioned window suffix.
+// counts 1/2/4. Every run ingests one buffer at a time on the engine's
+// pool, so the sweep isolates what per-target strands add: concurrent
+// branches plus the hash-partitioned window suffix.
 struct ThreadScaling {
   static constexpr size_t kCounts[3] = {1, 2, 4};
   double ke_per_s[3] = {0.0, 0.0, 0.0};

@@ -6,7 +6,8 @@
 #   CHECK_TSAN=1 scripts/check.sh
 # builds Debug + ThreadSanitizer into build-tsan/ and runs the full
 # suite with NM_WORKER_THREADS=4, forcing every engine test through the
-# morsel-driven multi-core path under the race detector.
+# morsel-driven multi-core path under the race detector, then again with
+# NM_WORKER_THREADS=1 (sequential queries still run on the engine pool).
 #
 # Opt-in fault-injection gate (mirrors the CI `fault-injection` job):
 #   CHECK_FAULTS=1 scripts/check.sh
@@ -83,7 +84,9 @@ if [[ "${CHECK_TSAN:-0}" == "1" ]]; then
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
   cmake --build "$BUILD_DIR" -j
-  cd "$BUILD_DIR" && NM_WORKER_THREADS=4 ctest --output-on-failure -j
+  cd "$BUILD_DIR"
+  NM_WORKER_THREADS=4 ctest --output-on-failure -j
+  NM_WORKER_THREADS=1 ctest --output-on-failure -j
   exit 0
 fi
 

@@ -41,6 +41,12 @@ TupleBufferPtr BufferManager::TryAcquire() {
   return Wrap(std::move(buf));
 }
 
+TupleBufferPtr BufferManager::AcquireOrOverflow() {
+  if (TupleBufferPtr buf = TryAcquire()) return buf;
+  total_acquired_.fetch_add(1, std::memory_order_relaxed);
+  return std::make_shared<TupleBuffer>(schema_, tuples_per_buffer_);
+}
+
 size_t BufferManager::available() const {
   MutexLock lock(mutex_);
   return free_.size();

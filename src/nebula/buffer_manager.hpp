@@ -2,9 +2,11 @@
 /// \brief Pooled tuple-buffer allocation.
 ///
 /// A `BufferManager` owns a bounded pool of same-shaped `TupleBuffer`s.
-/// `Acquire` blocks when the pool is exhausted (natural backpressure for
-/// sources on memory-constrained edge nodes); `TryAcquire` does not.
-/// Returned handles recycle the buffer into the pool on destruction.
+/// `Acquire` blocks when the pool is exhausted; `TryAcquire` does not, and
+/// `AcquireOrOverflow` hands out a transient buffer instead — the form the
+/// engine uses, since its worker-pool tasks must not wait for buffers other
+/// tasks hold. Returned handles recycle a pooled buffer into the pool on
+/// destruction.
 
 #pragma once
 
@@ -30,10 +32,14 @@ class BufferManager : public std::enable_shared_from_this<BufferManager> {
   /// Returns a buffer if one is immediately available, else nullptr.
   TupleBufferPtr TryAcquire() NM_EXCLUDES(mutex_);
 
+  /// Returns a pooled buffer if one is available, else a transient one of
+  /// the same shape that is freed rather than recycled. Never blocks.
+  TupleBufferPtr AcquireOrOverflow() NM_EXCLUDES(mutex_);
+
   /// Buffers currently available in the pool.
   size_t available() const NM_EXCLUDES(mutex_);
 
-  /// Total `Acquire`/`TryAcquire` hand-outs over the pool's lifetime —
+  /// Total hand-outs over the pool's lifetime, overflow ones included —
   /// the pool-accounting counter behind the zero-copy fan-out tests: a
   /// branch hand-off must not draw new buffers, so this must not scale
   /// with branch count. Atomic: workers acquire concurrently while the

@@ -1,7 +1,9 @@
 #include "nebula/engine.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
+#include <thread>
 
 #include "common/logging.hpp"
 #include "common/strings.hpp"
@@ -14,8 +16,8 @@ namespace nebulameos::nebula {
 namespace {
 
 // Queued (not yet started) morsels a dispatch target's strand holds before
-// a post from the ingest thread blocks — or, under a shed policy, sheds.
-// Worker-side posts never block (see worker_pool.hpp).
+// the query's ingest parks on it — or, under a shed policy, before an
+// ingest post sheds (see worker_pool.hpp).
 constexpr size_t kStrandCapacity = 8;
 
 // Worker count resolution: an explicit option wins; otherwise the
@@ -85,11 +87,27 @@ struct NodeEngine::RunningQuery {
   CompiledPipeline pipeline;  // operator tree; sinks at the leaves
   std::unique_ptr<ExecutionContext> ctx;
 
-  std::thread worker;
   std::atomic<bool> cancel{false};
   std::atomic<bool> started{false};
   std::atomic<bool> finished{false};
-  Status run_status;
+
+  // --- Execution on the engine's pool ---
+  NodeEngine* engine = nullptr;
+  // Every target but the root has a strand when the query is parallel
+  // (`worker_threads` > 1); otherwise every target runs inline inside the
+  // ingest step.
+  bool parallel = false;
+  // Tasks queued or running, plus one for the ingest from `Start` until it
+  // stops. The decrement that reaches zero completes the query.
+  std::atomic<int64_t> pending{0};
+  // Morsels shed at this query's strands.
+  std::atomic<uint64_t> tasks_shed{0};
+  // Ingest state, touched only by ingest steps (one at a time, handed on
+  // through the pool's mutex).
+  Status ingest_status;
+  bool source_done = false;
+  // Published by `Complete`, under the engine's completion mutex.
+  Status run_status NM_GUARDED_BY(engine->done_mutex_);
 
   // Ingest-side counters (source output).
   std::atomic<uint64_t> events_ingested{0};
@@ -104,8 +122,6 @@ struct NodeEngine::RunningQuery {
   // The query's instrument registry. Instruments are resolved once at
   // submission or admission (BindTargets) and recorded through raw
   // pointers on the hot path — relaxed atomics, no lock, no map lookup.
-  // Declared before `pool` so in-flight worker tasks can still record
-  // while the pool destructor drains them.
   std::unique_ptr<metrics::MetricsRegistry> metrics;
   bool metrics_on = false;
   // Verify-each: check the batch contract (sealed buffer, ascending
@@ -140,16 +156,14 @@ struct NodeEngine::RunningQuery {
     CompiledPipeline* seg = nullptr;
     DynamicBranch* owner = nullptr;  ///< set on an attached branch
     /// Keeps the target's stateful operators single-threaded and its
-    /// buffer order intact; null without a pool (Start makes it).
+    /// buffer order intact; null on the root and in sequential queries,
+    /// whose targets run inline.
     std::unique_ptr<WorkerPool::Strand> strand;
     /// Backpressure instruments, keyed by segment path: partition clones
-    /// carry their segment's path and share its gauge, histogram and
-    /// depth count, so metric names do not depend on the worker count.
-    metrics::Gauge* queue_depth = nullptr;    ///< `depth`, as of the last read
+    /// carry their segment's path and share its gauge and histogram, so
+    /// metric names do not depend on the worker count.
+    metrics::Gauge* queue_depth = nullptr;    ///< queued tasks at the last read
     metrics::Histogram* task_wait = nullptr;  ///< post → run latency
-    /// Queued tasks: +1 per post, -1 per run or shed.
-    std::atomic<int64_t> own_depth{0};
-    std::atomic<int64_t>* depth = &own_depth;
     std::vector<std::unique_ptr<Target>> branches;    ///< seg->branches
     std::vector<std::unique_ptr<Target>> partitions;  ///< seg->partitions
 
@@ -172,22 +186,22 @@ struct NodeEngine::RunningQuery {
     Status failure;
   };
   bool shared_host = false;  ///< submitted via `SubmitShared`
-  // Guards the branch vectors, `next_branch_id`, and (for admission racing
-  // `Start`) pool/strand creation. Never held across engine waits.
+  // Guards the branch vectors, `next_branch_id`, strand creation and the
+  // full-strand list. Never held across engine waits.
   mutable Mutex dyn_mutex;
   std::vector<std::unique_ptr<DynamicBranch>> dyn_branches
       NM_GUARDED_BY(dyn_mutex);
+  // Strands a post filled to capacity: the ingest parks on each before
+  // its next step, which bounds every strand of the query.
+  std::vector<WorkerPool::Strand*> full_strands NM_GUARDED_BY(dyn_mutex);
   // Detached branches parked until host teardown: queued tasks may still
   // reference a branch's target, and its strand may still be under a
   // worker's post-task bookkeeping, so nothing of a branch dies before
-  // the host. Declared before `pool` — destroyed after the workers joined.
+  // the host — and the engine joins its pool before any host dies.
   std::vector<std::unique_ptr<DynamicBranch>> retired_dyn
       NM_GUARDED_BY(dyn_mutex);
   int next_branch_id NM_GUARDED_BY(dyn_mutex) = 1;
 
-  // Morsel execution (worker_threads > 1). Declared after every target so
-  // its destructor (which runs remaining strand tasks) fires first.
-  std::unique_ptr<WorkerPool> pool;
   // Task failure handling: *every* strand error is recorded with the
   // dispatch-target path it occurred on, and `failed` makes later tasks
   // short-circuit. The query's final status is the first *root cause*:
@@ -270,7 +284,6 @@ struct NodeEngine::RunningQuery {
     }
     for (CompiledPipeline& part : seg->partitions) {
       t->partitions.push_back(std::make_unique<Target>());
-      t->partitions.back()->depth = t->depth;
       BindTargets(t->partitions.back().get(), &part);
     }
   }
@@ -278,16 +291,16 @@ struct NodeEngine::RunningQuery {
   // Gives `t` and every target below it a strand, once.
   void MakeStrand(Target* t,
                   std::vector<std::pair<std::string, const void*>>* owners) {
-    if (!t->strand) t->strand = pool->MakeStrand();
+    if (!t->strand) t->strand = engine->pool_->MakeStrand();
     owners->emplace_back(t->Path(), t->strand.get());
     for (auto& branch : t->branches) MakeStrand(branch.get(), owners);
     for (auto& part : t->partitions) MakeStrand(part.get(), owners);
   }
 
   // The one place strands are made: static branches and partition clones
-  // when Start builds the pool, attached branches then or at admission
-  // (the root runs on the posting thread). Verify-each proves the actor
-  // guarantee over all of them — no strand serves two targets.
+  // at submission, attached branches at admission (the root runs inside
+  // the ingest step). Verify-each proves the actor guarantee over all of
+  // them — no strand serves two targets.
   Status MakeStrands() NM_REQUIRES(dyn_mutex) {
     std::vector<std::pair<std::string, const void*>> owners;
     for (auto& branch : root.branches) MakeStrand(branch.get(), &owners);
@@ -308,58 +321,153 @@ struct NodeEngine::RunningQuery {
     return targets;
   }
 
+  // Root posts come from the ingest step and may shed; posts from a strand
+  // task (a branch fanning out to its key partitions) never do.
+  WorkerPool::Poster PosterOf(const Target* from) const {
+    return from == &root ? WorkerPool::Poster::kIngest
+                         : WorkerPool::Poster::kWorker;
+  }
+
   // The one hand-off to a dispatch target: one unit of `t`'s work — its
   // chain over `*batch`, or end-of-stream when `batch` is null — runs
-  // inline without a pool, else as a task on `t`'s strand. Strand FIFO
+  // inline without a strand, else as a task on `t`'s strand. Strand FIFO
   // order makes end-of-stream safe: every batch for the target was posted
   // before it, so Finish observes the complete stream. End-of-stream is
-  // never shed: it waits for room on a full strand. Hand-offs feed the
-  // strand instruments: every task counts in the queued depth from post
-  // to run, and data tasks record their post→run wait (zeros inline,
-  // where nothing ever queues — so the instruments exist and read 0 at
-  // one worker, matching the multi-worker metric names).
-  Status Post(Target* t, const exec::Batch* batch) {
+  // never shed. A post that fills the strand notes it, and the ingest
+  // parks on it before its next step. Data hand-offs record their
+  // post→run wait (zeros inline, where nothing ever queues — so the
+  // instrument exists and reads 0 at one worker, matching the multi-worker
+  // metric names).
+  Status Post(WorkerPool::Poster poster, Target* t, const exec::Batch* batch) {
     const bool timed = metrics_on && batch != nullptr;
-    if (!pool) {
+    if (!t->strand) {
       if (timed) t->task_wait->Record(0);
       return Run(t, batch);
     }
     const int64_t posted_at = timed ? MonotonicNowMicros() : 0;
-    if (metrics_on) t->depth->fetch_add(1, std::memory_order_relaxed);
+    pending.fetch_add(1, std::memory_order_relaxed);
     std::optional<exec::Batch> task_batch;
     if (batch != nullptr) task_batch = *batch;
-    const bool kept_all = t->strand->Post(
-        [this, t, task_batch = std::move(task_batch), timed, posted_at] {
+    const WorkerPool::PostResult result = t->strand->Post(
+        [this, t, task_batch = std::move(task_batch), timed,
+         posted_at]() mutable {
           if (timed) t->task_wait->Record(MonotonicNowMicros() - posted_at);
-          if (metrics_on) t->depth->fetch_sub(1, std::memory_order_relaxed);
           // Cancelled queries drop queued morsels: cancel is not
-          // end-of-stream, so no further state should be built (the drain
-          // that follows only retires the captures).
-          if (failed.load(std::memory_order_relaxed) ||
-              cancel.load(std::memory_order_relaxed)) {
-            return;
+          // end-of-stream, so no further state should be built.
+          if (!failed.load(std::memory_order_relaxed) &&
+              !cancel.load(std::memory_order_relaxed)) {
+            (void)Run(t, task_batch ? &*task_batch : nullptr);
           }
-          (void)Run(t, task_batch ? &*task_batch : nullptr);
+          // The buffer recycles before the query can complete.
+          task_batch.reset();
+          TaskDone();
         },
-        /*sheddable=*/batch != nullptr);
-    // A shed task — this one refused, or the strand's oldest evicted —
-    // never runs its decrement, so the post takes it back here. Both are
-    // `t`'s tasks, so `t`'s count is the right one either way.
-    if (metrics_on && !kept_all) {
-      t->depth->fetch_sub(1, std::memory_order_relaxed);
+        poster, /*sheddable=*/batch != nullptr);
+    if (result == WorkerPool::PostResult::kShed) {
+      // A shed task — this one refused, or the strand's oldest evicted —
+      // never runs its `TaskDone`, so the post gives it here.
+      tasks_shed.fetch_add(1, std::memory_order_relaxed);
+      TaskDone();
+    } else if (result == WorkerPool::PostResult::kFull) {
+      MutexLock lock(dyn_mutex);
+      full_strands.push_back(t->strand.get());
     }
     return Status::OK();
   }
 
-  // Publishes every target's queued-task count into its `queue_depth`
-  // gauge. The count moves on each post, run and shed; the gauge moves
-  // only when the metrics are read, so it always shows a count the
-  // strand really had.
+  void TaskDone() {
+    if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) Complete();
+  }
+
+  // Runs once, on the thread whose task finished last after the ingest
+  // stopped. Ingest errors join the same all-errors model the strand
+  // tasks record into, after them, so the reported status is uniformly
+  // "first root cause, tagged with its task path, plus a secondary-error
+  // count".
+  void Complete() NM_EXCLUDES(engine->done_mutex_) {
+    if (!ingest_status.ok()) RecordFailure(ingest_status);
+    const Status status = FirstRootCause();
+    if (!status.ok()) {
+      NM_LOG_ERROR() << "query " << id << " failed: " << status.ToString();
+    }
+    finished_at.store(MonotonicNowMicros());
+    MutexLock lock(engine->done_mutex_);
+    run_status = status;
+    finished.store(true);
+    engine->done_cv_.NotifyAll();
+  }
+
+  Status AwaitCompletion() NM_EXCLUDES(engine->done_mutex_) {
+    MutexLock lock(engine->done_mutex_);
+    while (!finished.load()) engine->done_cv_.Wait(engine->done_mutex_);
+    return run_status;
+  }
+
+  WorkerPool::Task IngestTask() {
+    return [this] { return Ingest(); };
+  }
+
+  WorkerPool::Strand* NextFullStrand() NM_EXCLUDES(dyn_mutex) {
+    MutexLock lock(dyn_mutex);
+    if (full_strands.empty()) return nullptr;
+    WorkerPool::Strand* strand = full_strands.back();
+    full_strands.pop_back();
+    return strand;
+  }
+
+  // One ingest step: fill one buffer, seal it and push it through the
+  // root segment; returns true to run again (a yield, worker_pool.hpp). A
+  // step never waits on the engine: while a strand of the query is full it
+  // parks instead, and the task that frees the room re-posts it. After the
+  // stream ends, one last step sends end-of-stream; on cancellation or
+  // failure the ingest just stops. Either way the stopped ingest gives up
+  // its pending count, so the query completes once its last task has run.
+  bool Ingest() {
+    if (parallel) {
+      while (WorkerPool::Strand* strand = NextFullStrand()) {
+        if (engine->pool_->ParkUntilRoom(strand, IngestTask())) return false;
+      }
+    }
+    if (!source_done && !cancel.load() &&
+        !failed.load(std::memory_order_relaxed)) {
+      ingest_status = IngestBuffer(ctx->Allocate(source->schema()));
+      if (ingest_status.ok()) return true;
+    }
+    // Cancellation is not end-of-stream: a cancelled query must not flush
+    // its window/CEP state as if the stream completed, so the finish
+    // cascade is skipped — partial panes are simply dropped with the query.
+    if (ingest_status.ok() && !cancel.load()) {
+      ingest_status = FinishSegment(&root);
+    }
+    TaskDone();
+    return false;
+  }
+
+  Status IngestBuffer(TupleBufferPtr buf) {
+    auto more = source->Fill(buf.get());
+    if (!more.ok()) return more.status();
+    events_ingested.fetch_add(buf->size());
+    bytes_ingested.fetch_add(buf->SizeBytes());
+    if (metrics_on) {
+      m_events_ingested->Add(buf->size());
+      m_bytes_ingested->Add(buf->SizeBytes());
+    }
+    if (!*more) source_done = true;
+    if (buf->empty()) return Status::OK();
+    buf->Seal();
+    return PushThrough(&root, 0, exec::Batch(std::move(buf)));
+  }
+
+  // Publishes every target's queued-task count, read from its strand,
+  // into its `queue_depth` gauge. Partition clones share their segment's
+  // gauge, which shows the segment's and the clones' tasks together.
   static void PublishDepth(const Target& t) {
-    t.queue_depth->Set(
-        static_cast<double>(t.depth->load(std::memory_order_relaxed)));
+    size_t queued = t.strand ? t.strand->queued() : 0;
+    for (const auto& part : t.partitions) {
+      queued += part->strand ? part->strand->queued() : 0;
+    }
+    t.queue_depth->Set(static_cast<double>(queued));
     for (const auto& branch : t.branches) PublishDepth(*branch);
-    for (const auto& part : t.partitions) PublishDepth(*part);
   }
 
   void PublishDepths() NM_EXCLUDES(dyn_mutex) {
@@ -374,7 +482,7 @@ struct NodeEngine::RunningQuery {
   // descriptive status (FailBranch) while its siblings and the shared
   // ingest keep running. Any other target fails the query: a strand task
   // records the error under the target's path; inline, the error returns
-  // to the dispatching caller and fails the run loop.
+  // to the dispatching caller and fails the ingest.
   Status Run(Target* t, const exec::Batch* batch) {
     DynamicBranch* br = t->owner;
     if (br != nullptr && br->detached.load(std::memory_order_relaxed)) {
@@ -387,7 +495,7 @@ struct NodeEngine::RunningQuery {
       FailBranch(br, st);
       return Status::OK();
     }
-    if (pool) RecordFailure(t->Path(), st);
+    if (t->strand) RecordFailure(t->Path(), st);
     return st;
   }
 
@@ -416,15 +524,18 @@ struct NodeEngine::RunningQuery {
   // and filters refine selection vectors instead of mutating, so the
   // hand-off is zero-copy.
   Status PostDownstream(Target* t, const exec::Batch* batch) {
-    for (auto& part : t->partitions) NM_RETURN_NOT_OK(Post(part.get(), batch));
+    const WorkerPool::Poster poster = PosterOf(t);
+    for (auto& part : t->partitions) {
+      NM_RETURN_NOT_OK(Post(poster, part.get(), batch));
+    }
     for (auto& branch : t->branches) {
-      NM_RETURN_NOT_OK(Post(branch.get(), batch));
+      NM_RETURN_NOT_OK(Post(poster, branch.get(), batch));
     }
     if (t->seg->sink || !t->partitions.empty() || !t->branches.empty()) {
       return Status::OK();
     }
     for (Target* attached : AttachedTargets()) {
-      NM_RETURN_NOT_OK(Post(attached, batch));
+      NM_RETURN_NOT_OK(Post(poster, attached, batch));
     }
     return Status::OK();
   }
@@ -452,7 +563,7 @@ struct NodeEngine::RunningQuery {
       const exec::Batch part(
           batch.data,
           std::make_shared<exec::SelectionVector>(std::move(sels[p])));
-      NM_RETURN_NOT_OK(Post(t->partitions[p].get(), &part));
+      NM_RETURN_NOT_OK(Post(PosterOf(t), t->partitions[p].get(), &part));
     }
     return Status::OK();
   }
@@ -592,7 +703,7 @@ struct NodeEngine::RunningQuery {
       stats.elapsed_micros = MonotonicNowMicros() - started_at.load();
     }
     stats.buffers_acquired = ctx->TotalBuffersAcquired();
-    stats.tasks_shed = pool ? pool->tasks_shed() : 0;
+    stats.tasks_shed = tasks_shed.load(std::memory_order_relaxed);
     return stats;
   }
 
@@ -666,6 +777,13 @@ NodeEngine::NodeEngine(EngineOptions options) : options_(options) {
   } else if (env->has_value()) {
     options_.faults.profile = **env;
   }
+  // One pool for every query: as wide as the machine, or as one query's
+  // parallelism when that asks for more. Ingest parks (or, under a shed
+  // policy, sheds) once a target falls kStrandCapacity batches behind.
+  static const size_t cores = std::thread::hardware_concurrency();
+  pool_ = std::make_unique<WorkerPool>(std::max(cores, worker_threads_),
+                                       kStrandCapacity,
+                                       options_.faults.retry.shed_policy);
 }
 
 NodeEngine::~NodeEngine() {
@@ -675,6 +793,9 @@ NodeEngine::~NodeEngine() {
     for (const auto& [id, rq] : queries_) ids.push_back(id);
   }
   for (int id : ids) (void)Cancel(id);
+  // Joined before any query dies: a worker may still be in the post-task
+  // bookkeeping of a strand the last completed task belonged to.
+  pool_.reset();
 }
 
 Result<NodeEngine::RunningQuery*> NodeEngine::Find(int query_id) const {
@@ -746,6 +867,12 @@ Result<int> NodeEngine::Install(std::unique_ptr<RunningQuery> rq,
     rq->m_emit_rate = rq->metrics->GetGauge("engine.emit_events_per_sec");
   }
   rq->BindTargets(&rq->root, &rq->pipeline);
+  rq->engine = this;
+  if (worker_threads_ > 1) {
+    rq->parallel = true;
+    MutexLock lock(rq->dyn_mutex);
+    NM_RETURN_NOT_OK(rq->MakeStrands());
+  }
   MutexLock lock(mutex_);
   const int id = next_id_++;
   rq->id = id;
@@ -854,7 +981,7 @@ Result<int> NodeEngine::AttachBranch(
   MutexLock lock(rq->dyn_mutex);
   const int branch_id = br->id;
   rq->dyn_branches.push_back(std::move(br));
-  if (rq->pool) NM_RETURN_NOT_OK(rq->MakeStrands());
+  if (rq->parallel) NM_RETURN_NOT_OK(rq->MakeStrands());
   return branch_id;
 }
 
@@ -920,68 +1047,14 @@ Result<QueryPlanText> NodeEngine::Explain(int query_id) const {
   return rq->plan_text;
 }
 
-void NodeEngine::RunLoop(RunningQuery* rq) {
-  Status status = Status::OK();
-  while (!rq->cancel.load() && !rq->failed.load(std::memory_order_relaxed)) {
-    TupleBufferPtr buf = rq->ctx->Allocate(rq->source->schema());
-    auto more = rq->source->Fill(buf.get());
-    if (!more.ok()) {
-      status = more.status();
-      break;
-    }
-    rq->events_ingested.fetch_add(buf->size());
-    rq->bytes_ingested.fetch_add(buf->SizeBytes());
-    if (rq->metrics_on) {
-      rq->m_events_ingested->Add(buf->size());
-      rq->m_bytes_ingested->Add(buf->SizeBytes());
-    }
-    if (!buf->empty()) {
-      buf->Seal();
-      status = rq->PushThrough(&rq->root, 0, exec::Batch(std::move(buf)));
-      if (!status.ok()) break;
-    }
-    if (!*more) break;
-  }
-  // Cancellation is not end-of-stream: a cancelled query must not flush
-  // its window/CEP state as if the stream completed, so the finish cascade is
-  // skipped — partial panes are simply dropped with the query.
-  if (status.ok() && !rq->cancel.load()) status = rq->FinishSegment(&rq->root);
-  // Run every dispatched morsel (including the finish cascades just
-  // posted) to completion before reading the task-side error slot; the
-  // drain also guarantees task-captured buffer handles have recycled —
-  // on cancellation this is what keeps in-flight strand tasks from
-  // touching operator state after teardown began.
-  if (rq->pool) rq->pool->Drain();
-  // Ingest/finish errors join the same all-errors model the strand tasks
-  // record into, so the reported status is uniformly "first root cause,
-  // tagged with its task path, plus a secondary-error count".
-  if (!status.ok()) rq->RecordFailure(status);
-  status = rq->FirstRootCause();
-  if (!status.ok()) {
-    NM_LOG_ERROR() << "query " << rq->id << " failed: " << status.ToString();
-  }
-  rq->run_status = status;
-  rq->finished_at.store(MonotonicNowMicros());
-  rq->finished.store(true);
-}
-
 Status NodeEngine::Start(int query_id) {
   NM_ASSIGN_OR_RETURN(RunningQuery * rq, Find(query_id));
   if (rq->started.exchange(true)) {
     return Status::FailedPrecondition("query already started");
   }
   rq->started_at.store(MonotonicNowMicros());
-  if (worker_threads_ > 1) {
-    // The ingest thread blocks (or sheds) once a target falls
-    // kStrandCapacity sealed batches behind. Created under dyn_mutex so a
-    // concurrent AttachBranch either sees the pool (and makes its own
-    // strand) or is seen here (and gets one).
-    MutexLock lock(rq->dyn_mutex);
-    rq->pool = std::make_unique<WorkerPool>(worker_threads_, kStrandCapacity,
-                                            options_.faults.retry.shed_policy);
-    NM_RETURN_NOT_OK(rq->MakeStrands());
-  }
-  rq->worker = std::thread([this, rq] { RunLoop(rq); });
+  rq->pending.store(1);  // the ingest's, until it stops
+  pool_->Post(rq->IngestTask());
   return Status::OK();
 }
 
@@ -990,8 +1063,7 @@ Status NodeEngine::Wait(int query_id) {
   if (!rq->started.load()) {
     return Status::FailedPrecondition("query not started");
   }
-  if (rq->worker.joinable()) rq->worker.join();
-  return rq->run_status;
+  return rq->AwaitCompletion();
 }
 
 Status NodeEngine::Cancel(int query_id) {

@@ -3,11 +3,13 @@
 ///
 /// Each submitted query compiles into one fused pipeline tree (source →
 /// operator chain → sink, or → fan-out → branch pipelines). Execution is
-/// pull-based: the query's run thread fills a buffer from the source,
-/// seals it, and pushes it through the chain as a *batch* (buffer +
+/// pull-based: a step of the query's ingest fills a buffer from the
+/// source, seals it, and pushes it through the chain as a *batch* (buffer +
 /// selection vector, exec/batch.hpp) without intermediate queueing —
-/// NebulaStream's pipeline model. Multiple queries run concurrently, each
-/// on its own run thread.
+/// NebulaStream's pipeline model. Every query runs on the engine's one
+/// worker pool (worker_pool.hpp): its ingest is a task that takes one step
+/// and re-posts itself, so many queries share a few threads and take turns
+/// buffer by buffer. There is no thread per query.
 ///
 /// Every pipeline a sealed batch is handed to is a *dispatch target*: a
 /// static fan-out branch, a key-partition clone, or a branch attached at
@@ -16,13 +18,14 @@
 /// buffer and every target receives the *same* sealed batch (zero-copy;
 /// selection vectors keep branch filtering independent). With
 /// `EngineOptions::worker_threads` = 1 the hand-off runs the target
-/// inline; with N > 1 execution is *morsel-driven* (docs/ARCHITECTURE.md
-/// "Threading model"): a fixed worker pool pulls (target, batch) morsels
-/// from per-target strands, so targets run concurrently while each keeps
-/// its state single-threaded and its buffer order intact. A qualifying
-/// keyed stateful suffix is compiled once per worker and fed by hashing
-/// the key into per-partition selection vectors, so every clone owns
-/// disjoint state and per-key results match sequential execution. The
+/// inline, inside the ingest step; with N > 1 execution is *morsel-driven*
+/// (docs/ARCHITECTURE.md "Threading model"): the pool's workers pull
+/// (target, batch) morsels from per-target strands, so targets run
+/// concurrently while each keeps its state single-threaded and its buffer
+/// order intact. A qualifying keyed stateful suffix is compiled once per
+/// worker and fed by hashing the key into per-partition selection vectors,
+/// so every clone owns disjoint state and per-key results match sequential
+/// execution. The
 /// only difference between static and attached targets is failure: an
 /// attached branch that errors is detached alone, any other target fails
 /// the query.
@@ -35,7 +38,7 @@
 #pragma once
 
 #include <atomic>
-#include <thread>
+#include <memory>
 
 #include "common/mutex.hpp"
 #include "nebula/metrics/metrics.hpp"
@@ -43,6 +46,8 @@
 #include "nebula/query.hpp"
 
 namespace nebulameos::nebula {
+
+class WorkerPool;
 
 /// \brief Flow counters of one terminal sink, keyed by its DAG path ("" on
 /// a linear plan, "0"/"1"/... for fan-out branches, "1.0" nested).
@@ -100,14 +105,15 @@ struct QueryStats {
 struct EngineOptions {
   size_t tuples_per_buffer = 1024;  ///< records per buffer
   size_t pool_size = 128;           ///< buffers per schema pool
-  /// Workers in the morsel-driven pool. 1 executes every query on its own
-  /// single thread (the historical behavior); N > 1 runs fan-out branches
-  /// concurrently and hash-partitions qualifying keyed stateful suffixes
-  /// N ways. 0 (the default) resolves from the `NM_WORKER_THREADS`
-  /// environment variable, else 1 — the toggle the TSan CI job uses to
-  /// force every existing test through the concurrent path unchanged. A
-  /// malformed value makes every `Submit`/`SubmitShared` fail with
-  /// `InvalidArgument`.
+  /// One query's parallelism. 1 runs each query sequentially, every target
+  /// inline in its ingest step; N > 1 gives every dispatch target a strand,
+  /// so fan-out branches run concurrently, and hash-partitions qualifying
+  /// keyed stateful suffixes N ways. The engine's pool holds at most
+  /// max(hardware threads, N) workers, started as work needs them. 0 (the
+  /// default) resolves from the `NM_WORKER_THREADS` environment variable,
+  /// else 1 — the toggle the TSan CI job uses to force every existing test
+  /// through the concurrent path unchanged. A malformed value makes every
+  /// `Submit`/`SubmitShared` fail with `InvalidArgument`.
   size_t worker_threads = 0;
   /// Logical-plan rewrite configuration; `optimizer.enable = false`
   /// submits plans verbatim (A/B benchmarking, debugging).
@@ -224,16 +230,19 @@ class NodeEngine {
   /// running (fault isolation). `NotFound` for ids never attached.
   Status BranchStatus(int host_id, int branch_id) const;
 
-  /// Starts the query: one run thread that fills, seals and pushes the
-  /// source's buffers, plus — with `worker_threads` N > 1 — the query's
-  /// pool of N workers serving its dispatch targets' strands.
+  /// Starts the query: posts its first ingest step to the engine's pool.
+  /// Each step fills, seals and pushes one buffer, then re-posts itself;
+  /// with `worker_threads` N > 1 the pushed batches run as tasks on the
+  /// dispatch targets' strands, on the same pool.
   Status Start(int query_id);
 
-  /// Blocks until the query's source is exhausted and the pipeline flushed.
+  /// Blocks until the query's source is exhausted, the pipeline flushed
+  /// and every task of the query has run (or, after `Cancel` or a
+  /// failure, returned). Any number of threads may wait on one query.
   Status Wait(int query_id);
 
-  /// Requests cooperative cancellation (the source loop stops at the next
-  /// buffer boundary), then waits.
+  /// Requests cooperative cancellation (the ingest stops at the next
+  /// buffer boundary, queued tasks return unrun), then waits.
   Status Cancel(int query_id);
 
   /// Convenience: Start + Wait.
@@ -277,8 +286,6 @@ class NodeEngine {
  private:
   struct RunningQuery;
 
-  void RunLoop(RunningQuery* rq);
-
   Result<RunningQuery*> Find(int query_id) const;
   /// Verifies (verify-each) and compiles \p plan into `rq->pipeline`.
   Status Compile(RunningQuery* rq, const LogicalPlan& plan,
@@ -296,6 +303,12 @@ class NodeEngine {
   mutable nebulameos::Mutex mutex_;
   std::map<int, std::unique_ptr<RunningQuery>> queries_ NM_GUARDED_BY(mutex_);
   int next_id_ NM_GUARDED_BY(mutex_) = 1;
+  /// Every query's ingest and strands run here.
+  std::unique_ptr<WorkerPool> pool_;
+  /// Completion: a finishing query publishes its status under the mutex
+  /// and wakes every `Wait`, which checks its own query.
+  nebulameos::Mutex done_mutex_;
+  nebulameos::CondVar done_cv_;
 };
 
 }  // namespace nebulameos::nebula

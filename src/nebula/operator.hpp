@@ -127,8 +127,11 @@ class ExecutionContext {
                             size_t pool_size = 128)
       : tuples_per_buffer_(tuples_per_buffer), pool_size_(pool_size) {}
 
-  /// Allocates an empty pooled buffer shaped for \p schema (blocking when
-  /// the pool is exhausted — backpressure).
+  /// Allocates an empty buffer shaped for \p schema: pooled, or transient
+  /// when the pool is exhausted. Never blocks — operators run as worker-pool
+  /// tasks, which must not wait for buffers other tasks hold. The buffers
+  /// in flight stay bounded because the engine bounds every strand queue
+  /// (worker_pool.hpp).
   TupleBufferPtr Allocate(const Schema& schema);
 
   size_t tuples_per_buffer() const { return tuples_per_buffer_; }

@@ -17,7 +17,7 @@ TupleBufferPtr ExecutionContext::Allocate(const Schema& schema) {
     }
     pool = slot;
   }
-  return pool->Acquire();
+  return pool->AcquireOrOverflow();
 }
 
 uint64_t ExecutionContext::TotalBuffersAcquired() const {

@@ -67,7 +67,9 @@ class Source {
 
   /// Fills \p buffer with up to its capacity of records.
   /// Returns false when the stream is exhausted (buffer may still contain a
-  /// final partial batch).
+  /// final partial batch). Runs on a worker of the engine's pool, one call
+  /// per ingest step: a `Fill` that waits (pacing, a gate) holds that
+  /// worker for the duration of the wait.
   virtual Result<bool> Fill(TupleBuffer* buffer) = 0;
 
   /// Human-readable name for logs and plans.

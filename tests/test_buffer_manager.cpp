@@ -157,8 +157,8 @@ TEST(BufferManagerTorture, TotalAcquiredExactUnderMixedContention) {
 }
 
 // Handles recycled from a dedicated dropper thread while acquirers block:
-// exercises the cross-thread recycle → condition-variable wake-up path
-// that morsel workers rely on when the ingest thread waits on the pool.
+// exercises the cross-thread recycle → condition-variable wake-up path of
+// the blocking `Acquire`.
 TEST(BufferManagerTorture, CrossThreadDropUnblocksAcquirers) {
   constexpr size_t kAcquirers = 8;
   constexpr int kPerThread = 200;

@@ -5,7 +5,9 @@
 // sequential engine (1) — same ingested/emitted record counts and the
 // same sink row *sets* (rows are compared sorted: partitioned keyed
 // state and concurrent branches emit in no specified order, which is
-// exactly the freedom the morsel scheduler exploits).
+// exactly the freedom the morsel scheduler exploits). It also checks the
+// engine's one worker pool: many queries run on few threads, and more
+// parallel queries than workers all finish.
 //
 // Run under ThreadSanitizer (scripts/check.sh tsan mode, or the CI
 // `sanitize-thread` job) this suite doubles as the data-race gate for
@@ -15,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <set>
 #include <thread>
 
@@ -52,6 +56,27 @@ std::set<std::string> MetricNames(const nebula::metrics::MetricsSnapshot& m) {
 std::vector<std::vector<Value>> Sorted(std::vector<std::vector<Value>> rows) {
   std::sort(rows.begin(), rows.end());
   return rows;
+}
+
+// Threads of this process right now (Linux: /proc/self/task), 0 where
+// that is not available.
+size_t ThreadCount() {
+#if defined(__linux__)
+  std::error_code ec;
+  size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return n;
+#else
+  return 0;
+#endif
+}
+
+// The engine pool's bound for queries of `workers` parallelism.
+size_t PoolBound(size_t workers) {
+  return std::max<size_t>({std::thread::hardware_concurrency(), workers, 1});
 }
 
 class EngineConcurrencyTest : public ::testing::Test {
@@ -327,6 +352,154 @@ TEST_F(EngineConcurrencyTest, CancelDuringProcessingDrainsInFlightWork) {
     ASSERT_TRUE(stats.ok());
     EXPECT_GT(stats->events_ingested, 0u);
     EXPECT_LT(stats->events_ingested, 50'000'000u);
+  }
+}
+
+// Many queries, few threads: 64 one-worker queries started at once on one
+// engine share its pool — no thread per query — and each produces exactly
+// its sequential run's rows. While they run, the process never holds more
+// threads than the pool bound, this test's own two (main and waiter) and
+// a slack of 2 (a sanitizer runtime's helper thread).
+TEST_F(EngineConcurrencyTest, ManyQueriesShareOneBoundedPool) {
+  constexpr int kQueries = 64;
+  constexpr uint64_t kEvents = 10'000;
+  std::vector<RunOutcome> reference;
+  for (int number = 1; number <= 8; ++number) {
+    auto built = BuildQuery(number, *env_, SmallRun(kEvents));
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    reference.push_back(
+        RunPlan(std::move(built->plan), {built->collect}, /*workers=*/1));
+  }
+  EngineOptions options;
+  options.worker_threads = 1;
+  NodeEngine engine(options);
+  std::vector<int> ids;
+  std::vector<std::shared_ptr<CollectSink>> sinks;
+  for (int q = 0; q < kQueries; ++q) {
+    auto built = BuildQuery(q % 8 + 1, *env_, SmallRun(kEvents));
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    auto id = engine.Submit(std::move(built->plan));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+    sinks.push_back(built->collect);
+  }
+  for (const int id : ids) ASSERT_TRUE(engine.Start(id).ok());
+  std::atomic<bool> done{false};
+  std::thread waiter([&] {
+    for (const int id : ids) EXPECT_TRUE(engine.Wait(id).ok());
+    done.store(true);
+  });
+  size_t peak = ThreadCount();
+  while (!done.load()) {
+    peak = std::max(peak, ThreadCount());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  waiter.join();
+  EXPECT_LE(peak, PoolBound(1) + 2 + 2);
+  for (int q = 0; q < kQueries; ++q) {
+    const RunOutcome& expected = reference[static_cast<size_t>(q % 8)];
+    auto stats = engine.Stats(ids[static_cast<size_t>(q)]);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->events_ingested, expected.events_ingested) << q;
+    EXPECT_EQ(Sorted(sinks[static_cast<size_t>(q)]->Rows()),
+              expected.sinks[0])
+        << QueryName(q % 8 + 1) << " #" << q;
+  }
+}
+
+// No deadlock and no cross-query waits: more 4-worker queries than the
+// pool has workers run at once, each with a fan-out, a keyed stateful
+// suffix in both branches (partitioned 4 ways) and one-buffer pools, far
+// below a strand's capacity (8). One branch is slow, so its strand backs
+// up and pins the root Map's output buffers: every query keeps exhausting
+// its pools while the others hold workers — an allocation that waited for
+// a buffer here would leave every worker waiting. All finish with the row
+// sets of the interpreted one-worker oracle.
+TEST(EnginePool, MoreParallelQueriesThanWorkersAllFinish) {
+  using namespace nebula;  // NOLINT(build/namespaces)
+  constexpr size_t kWorkers = 4;
+  constexpr int kRows = 2000;
+  const Schema schema = Schema::Build()
+                            .AddInt64("key")
+                            .AddTimestamp("ts")
+                            .AddDouble("value")
+                            .Finish();
+  std::vector<std::vector<Value>> rows;
+  for (int i = 0; i < kRows; ++i) {
+    rows.emplace_back();
+    rows.back().emplace_back(int64_t{i % 8});
+    rows.back().emplace_back(Seconds(i));
+    rows.back().emplace_back(static_cast<double>(i));
+  }
+  const ExprPtr slow_pass = MakeLambdaExpr(
+      "slow_pass", {Attribute("value")}, DataType::kBool,
+      [](const std::vector<Value>&) {
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+        return Value(true);
+      });
+  // Builds the plan with a CollectSink at each of its two leaves.
+  auto make_plan = [&](std::vector<std::shared_ptr<CollectSink>>* sinks)
+      -> Result<LogicalPlan> {
+    SplitQuery split =
+        Query::From(std::make_unique<MemorySource>(schema, rows, 1, "ts"))
+            .Map("v2", Mul(Attribute("value"), Lit(2.0)))
+            .Split(2);
+    std::move(split[0])
+        .Filter(slow_pass)
+        .Map("w", Add(Attribute("v2"), Lit(1.0)))
+        .KeyBy("key")
+        .TumblingWindow(Seconds(100), "ts")
+        .Aggregate({AggregateSpec::Sum("w", "sum_w")});
+    std::move(split[1])
+        .KeyBy("key")
+        .TumblingWindow(Seconds(100), "ts")
+        .Aggregate(
+            {AggregateSpec::Max("v2", "max_v2"), AggregateSpec::Count("n")});
+    NM_ASSIGN_OR_RETURN(LogicalPlan plan, std::move(split).Build());
+    NM_ASSIGN_OR_RETURN(auto leaf_schemas, plan.OutputSchemas());
+    std::vector<std::shared_ptr<SinkOperator>> leaves;
+    for (const auto& [path, leaf_schema] : leaf_schemas) {
+      sinks->push_back(std::make_shared<CollectSink>(leaf_schema));
+      leaves.push_back(sinks->back());
+    }
+    NM_RETURN_NOT_OK(plan.SetLeafSinks(std::move(leaves)));
+    return plan;
+  };
+  auto run = [&](NodeEngine* engine, int copies) {
+    std::vector<int> ids;
+    std::vector<std::vector<std::shared_ptr<CollectSink>>> sinks(copies);
+    for (int q = 0; q < copies; ++q) {
+      auto plan = make_plan(&sinks[q]);
+      EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+      auto id = engine->Submit(std::move(*plan));
+      EXPECT_TRUE(id.ok()) << id.status().ToString();
+      ids.push_back(*id);
+    }
+    for (const int id : ids) EXPECT_TRUE(engine->Start(id).ok());
+    std::vector<std::vector<std::vector<std::vector<Value>>>> out(copies);
+    for (int q = 0; q < copies; ++q) {
+      EXPECT_TRUE(engine->Wait(ids[q]).ok()) << q;
+      for (const auto& sink : sinks[q]) out[q].push_back(Sorted(sink->Rows()));
+    }
+    return out;
+  };
+  EngineOptions oracle_options;
+  oracle_options.worker_threads = 1;
+  oracle_options.tuples_per_buffer = 16;
+  oracle_options.compiled_kernels = false;
+  NodeEngine oracle_engine(oracle_options);
+  const auto oracle = run(&oracle_engine, 1).front();
+  ASSERT_EQ(oracle.size(), 2u);
+  ASSERT_FALSE(oracle[0].empty());
+  EngineOptions options;
+  options.worker_threads = kWorkers;
+  options.tuples_per_buffer = 16;
+  options.pool_size = 1;
+  NodeEngine engine(options);
+  const int queries = static_cast<int>(PoolBound(kWorkers)) + 2;
+  const auto outcomes = run(&engine, queries);
+  for (int q = 0; q < queries; ++q) {
+    EXPECT_EQ(outcomes[q], oracle) << "query " << q;
   }
 }
 

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <future>
 #include <mutex>
 #include <thread>
 
@@ -706,49 +707,65 @@ struct WorkerGate {
 };
 
 TEST(WorkerPoolShedding, DropLateRefusesNewMorsels) {
-  WorkerPool pool(1, /*strand_capacity=*/1, ShedPolicy::kDropLate);
-  auto strand = pool.MakeStrand();
-  WorkerGate gate;
+  using Outcome = WorkerPool::PostResult;
+  constexpr auto kIngest = WorkerPool::Poster::kIngest;
+  // Declared before the pool: its destructor runs the queued tasks.
   std::atomic<int> ran{0};
-  strand->Post([&] { gate.Enter(); });
-  gate.AwaitEntered();  // worker busy, queue empty
-  EXPECT_TRUE(strand->Post([&] { ran += 1; }));  // queued (1 = capacity)
-  EXPECT_FALSE(strand->Post([&] { ran += 100; }));  // refused
-  gate.Release();
-  pool.Drain();
+  WorkerGate gate;
+  std::unique_ptr<WorkerPool::Strand> strand;
+  {
+    WorkerPool pool(1, /*strand_capacity=*/1, ShedPolicy::kDropLate);
+    strand = pool.MakeStrand();
+    strand->Post([&] { gate.Enter(); }, kIngest);
+    gate.AwaitEntered();  // worker busy, queue empty
+    EXPECT_EQ(strand->Post([&] { ran += 1; }, kIngest),
+              Outcome::kQueued);  // queued (1 = capacity)
+    EXPECT_EQ(strand->Post([&] { ran += 100; }, kIngest),
+              Outcome::kShed);  // refused
+    gate.Release();
+    EXPECT_EQ(pool.tasks_shed(), 1u);
+  }  // the destructor runs every queued task
   EXPECT_EQ(ran.load(), 1);
-  EXPECT_EQ(pool.tasks_shed(), 1u);
 }
 
 TEST(WorkerPoolShedding, DropOldestEvictsQueuedMorsel) {
-  WorkerPool pool(1, /*strand_capacity=*/1, ShedPolicy::kDropOldest);
-  auto strand = pool.MakeStrand();
-  WorkerGate gate;
+  using Outcome = WorkerPool::PostResult;
+  constexpr auto kIngest = WorkerPool::Poster::kIngest;
   std::atomic<int> ran{0};
-  strand->Post([&] { gate.Enter(); });
-  gate.AwaitEntered();
-  EXPECT_TRUE(strand->Post([&] { ran += 1; }));  // queued, evicted below
-  EXPECT_FALSE(strand->Post([&] { ran += 100; }));  // evicts the previous
-  gate.Release();
-  pool.Drain();
+  WorkerGate gate;
+  std::unique_ptr<WorkerPool::Strand> strand;
+  {
+    WorkerPool pool(1, /*strand_capacity=*/1, ShedPolicy::kDropOldest);
+    strand = pool.MakeStrand();
+    strand->Post([&] { gate.Enter(); }, kIngest);
+    gate.AwaitEntered();
+    EXPECT_EQ(strand->Post([&] { ran += 1; }, kIngest),
+              Outcome::kQueued);  // queued, evicted below
+    EXPECT_EQ(strand->Post([&] { ran += 100; }, kIngest),
+              Outcome::kShed);  // evicts the previous
+    gate.Release();
+    EXPECT_EQ(pool.tasks_shed(), 1u);
+  }
   EXPECT_EQ(ran.load(), 100);
-  EXPECT_EQ(pool.tasks_shed(), 1u);
 }
 
 TEST(WorkerPoolShedding, BlockPolicyShedsNothing) {
-  WorkerPool pool(2, /*strand_capacity=*/2);  // default kBlock
-  auto strand = pool.MakeStrand();
   std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) {
-    strand->Post([&] { ran += 1; });
+  std::unique_ptr<WorkerPool::Strand> strand;
+  {
+    WorkerPool pool(2, /*strand_capacity=*/2);  // default kBlock
+    strand = pool.MakeStrand();
+    for (int i = 0; i < 64; ++i) {
+      EXPECT_NE(strand->Post([&] { ran += 1; }, WorkerPool::Poster::kIngest),
+                WorkerPool::PostResult::kShed);
+    }
+    EXPECT_EQ(pool.tasks_shed(), 0u);
   }
-  pool.Drain();
   EXPECT_EQ(ran.load(), 64);
-  EXPECT_EQ(pool.tasks_shed(), 0u);
 }
 
-// A sink that takes 500 µs per batch, so an ingest thread feeding it
-// 4-row buffers keeps its strand saturated.
+// A sink that takes 500 µs per batch, so an ingest feeding it 4-row
+// buffers keeps its strand saturated.
 class SlowSink : public SinkOperator {
  public:
   explicit SlowSink(Schema schema) : SinkOperator(std::move(schema)) {}
@@ -761,9 +778,9 @@ class SlowSink : public SinkOperator {
   }
 };
 
-// A shed morsel never runs, so the post that shed it must take back the
-// queue-depth count it added: after the drain every strand gauge reads 0
-// under both shed policies, however many morsels were shed.
+// A shed morsel never runs and leaves no queue depth behind: once the
+// query completes every strand gauge reads 0 under both shed policies,
+// however many morsels were shed.
 TEST(EngineShedding, ShedMorselsLeaveNoQueueDepthBehind) {
   for (const ShedPolicy policy :
        {ShedPolicy::kDropLate, ShedPolicy::kDropOldest}) {
@@ -796,6 +813,52 @@ TEST(EngineShedding, ShedMorselsLeaveNoQueueDepthBehind) {
     }
     EXPECT_EQ(gauges, 3u);  // root, 0 and 1
   }
+}
+
+// Backpressure without a blocked worker: under kBlock the ingest feeding
+// a slow branch parks whenever its post fills the branch's strand, so the
+// strand's queue depth never exceeds the strand capacity (8, the
+// engine's kStrandCapacity) — the bound worker_pool.hpp states for an
+// ingest-fed strand whose root emits one batch per buffer — while
+// nothing is shed and every row reaches both sinks.
+TEST(EngineShedding, BlockPolicyBoundsIngestFedStrandDepth) {
+  constexpr double kStrandCapacity = 8;
+  EngineOptions options;
+  options.worker_threads = 2;
+  options.tuples_per_buffer = 4;
+  NodeEngine engine(options);  // default ShedPolicy::kBlock
+  auto fast = std::make_shared<CountingSink>(EventSchema());
+  auto slow = std::make_shared<SlowSink>(EventSchema());
+  SplitQuery split =
+      Query::From(std::make_unique<MemorySource>(EventSchema(),
+                                                 MakeRows(2000), 1, "ts"))
+          .Split(2);
+  std::move(split[0]).To(fast);
+  std::move(split[1]).To(slow);
+  auto plan = std::move(split).Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto id = engine.Submit(std::move(*plan));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(engine.Start(*id).ok());
+  auto done = std::async(std::launch::async, [&] { return engine.Wait(*id); });
+  double deepest = 0;
+  while (done.wait_for(std::chrono::microseconds(200)) !=
+         std::future_status::ready) {
+    auto snap = engine.Metrics(*id);
+    ASSERT_TRUE(snap.ok());
+    deepest =
+        std::max(deepest, snap->gauges.at("worker.strand.1.queue_depth"));
+  }
+  ASSERT_TRUE(done.get().ok());
+  EXPECT_LE(deepest, kStrandCapacity);
+  // The slow branch did back up towards the bound: ingest outpaces a
+  // 500 µs sink by far.
+  EXPECT_GE(deepest, kStrandCapacity / 2);
+  auto stats = engine.Stats(*id);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->tasks_shed, 0u);
+  EXPECT_EQ(fast->events(), 2000u);
+  EXPECT_EQ(slow->stats().events_in, 2000u);
 }
 
 // Shedding drops data morsels, never end-of-stream: a slow windowed

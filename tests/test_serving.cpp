@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <set>
 #include <string>
@@ -457,12 +458,92 @@ TEST(SharedQueryManager, LastBranchCancelTearsDownHost) {
   }
   EXPECT_EQ(manager.NumClientQueries(), 1u);
 
-  // Last cancel tears the host down (blocks until the run thread joins).
+  // Last cancel tears the host down (blocks until the host completed).
   ASSERT_TRUE(manager.Cancel(*vid_b).ok());
   EXPECT_EQ(manager.NumClientQueries(), 0u);
   auto host_stats = engine.Stats(host);
   ASSERT_TRUE(host_stats.ok());
   EXPECT_GT(host_stats->events_ingested, 0u);
+}
+
+// Clients wait on their own threads: two of them wait on members of one
+// running host while a third cancels every member, the last of which
+// tears the host down — three threads waiting on one engine query at once.
+// Every call returns OK. Run at 1 and 4 workers (the TSan job re-runs
+// this suite at both).
+TEST(SharedQueryManager, ConcurrentClientWaitsAndCancel) {
+  for (const size_t workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    EngineOptions options;
+    options.worker_threads = workers;
+    NodeEngine engine(options);
+    SharedQueryManager manager(&engine);
+    std::vector<std::shared_ptr<CountingSink>> sinks;
+    std::vector<int> vids;
+    for (int k = 0; k < 3; ++k) {
+      sinks.push_back(std::make_shared<CountingSink>(EventSchema()));
+      // Effectively unbounded: runs until the last member is cancelled.
+      auto vid = manager.Submit(Query::From(NamedSource(30, 1000000))
+                                    .Filter(Ge(Attribute("value"), Lit(0.0)))
+                                    .To(sinks.back()));
+      ASSERT_TRUE(vid.ok()) << vid.status().ToString();
+      vids.push_back(*vid);
+    }
+    ASSERT_EQ(manager.NumHostedPlans(), 1u);
+    ASSERT_TRUE(manager.Start(vids[0]).ok());
+    while (sinks[0]->events() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    Status wait_a = Status::Internal("not run");
+    Status wait_b = Status::Internal("not run");
+    Status cancels = Status::Internal("not run");
+    std::thread waiter_a([&] { wait_a = manager.Wait(vids[0]); });
+    std::thread waiter_b([&] { wait_b = manager.Wait(vids[1]); });
+    std::thread canceller([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      cancels = manager.Cancel(vids[2]);
+      if (cancels.ok()) cancels = manager.Cancel(vids[0]);
+      if (cancels.ok()) cancels = manager.Cancel(vids[1]);  // the last
+    });
+    waiter_a.join();
+    waiter_b.join();
+    canceller.join();
+    EXPECT_TRUE(wait_a.ok()) << wait_a.ToString();
+    EXPECT_TRUE(wait_b.ok()) << wait_b.ToString();
+    EXPECT_TRUE(cancels.ok()) << cancels.ToString();
+    EXPECT_EQ(manager.NumClientQueries(), 0u);
+  }
+}
+
+// One engine pool serves every query, so a query whose source waits holds
+// one worker and nothing else: another query on the same engine runs and
+// completes while the first is held at its gate.
+TEST(EnginePool, GatedQueryDoesNotDelayAnotherQuerysWait) {
+  EngineOptions options;
+  options.worker_threads = 2;  // a pool of at least 2 workers on any host
+  NodeEngine engine(options);
+  auto gate = std::make_shared<GateState>();
+  auto held_sink = std::make_shared<CollectSink>(EventSchema());
+  auto free_sink = std::make_shared<CollectSink>(EventSchema());
+  auto held = engine.Submit(
+      Query::From(std::make_unique<GateSource>(MakeRows(8), gate))
+          .To(held_sink));
+  auto other = engine.Submit(Query::From(NamedSource(100)).To(free_sink));
+  ASSERT_TRUE(held.ok() && other.ok());
+  ASSERT_TRUE(engine.Start(*held).ok());
+  ASSERT_TRUE(engine.Start(*other).ok());
+  auto other_done =
+      std::async(std::launch::async, [&] { return engine.Wait(*other); });
+  const bool in_time = other_done.wait_for(std::chrono::seconds(30)) ==
+                       std::future_status::ready;
+  EXPECT_TRUE(in_time) << "a gated query delayed another query's Wait";
+  EXPECT_EQ(held_sink->RowCount(), 0u);
+  gate->Release(8);
+  gate->Close();
+  ASSERT_TRUE(other_done.get().ok());
+  EXPECT_EQ(free_sink->RowCount(), 100u);
+  ASSERT_TRUE(engine.Wait(*held).ok());
+  EXPECT_EQ(held_sink->RowCount(), 8u);
 }
 
 // A running host only admits plans that extend its *entire* prefix; a
