@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #include "common/strings.hpp"
 
@@ -266,70 +267,107 @@ Status ProjectOperator::ProcessBatch(const exec::Batch& input,
   return Status::OK();
 }
 
-// --- WindowAgg helpers ----------------------------------------------------------
+// --- Window rows --------------------------------------------------------------
 
-namespace {
-
-// Builds the window-result schema shared by time and threshold windows:
-// [key] + window_start + window_end + aggregates + custom fields.
-Result<Schema> MakeWindowOutputSchema(
+Result<WindowFields> WindowFields::Make(
     const Schema& input, const std::string& key_field,
-    const std::vector<AggregateSpec>& aggs,
-    const std::vector<CustomAggregatorFactory>& customs,
-    size_t* custom_first_field) {
-  std::vector<Field> fields;
-  if (!key_field.empty()) {
-    NM_ASSIGN_OR_RETURN(size_t key_idx, input.IndexOf(key_field));
-    fields.push_back(input.field(key_idx));
+    const std::string& time_field,
+    const std::vector<AggregateSpec>& aggregates,
+    const std::vector<CustomAggregatorFactory>& customs) {
+  WindowFields f;
+  f.input = input;
+  std::vector<Field> out;
+  f.keyed = !key_field.empty();
+  if (f.keyed) {
+    NM_ASSIGN_OR_RETURN(f.key_index, input.IndexOf(key_field));
+    f.key_type = input.field(f.key_index).type;
+    out.push_back(input.field(f.key_index));
   }
-  fields.push_back({"window_start", DataType::kTimestamp});
-  fields.push_back({"window_end", DataType::kTimestamp});
-  for (const AggregateSpec& spec : aggs) {
-    const DataType out_type =
-        spec.kind == AggKind::kCount ? DataType::kInt64 : DataType::kDouble;
-    fields.push_back({spec.output_name, out_type});
+  if (time_field.empty()) {
+    return Status::InvalidArgument("window needs a time field");
   }
-  *custom_first_field = fields.size();
+  NM_ASSIGN_OR_RETURN(f.time_index, input.IndexOf(time_field));
+  out.push_back({"window_start", DataType::kTimestamp});
+  out.push_back({"window_end", DataType::kTimestamp});
+  for (const AggregateSpec& spec : aggregates) {
+    // kCount without a field counts records; it reads the time field.
+    size_t idx = f.time_index;
+    if (spec.kind != AggKind::kCount || !spec.field.empty()) {
+      NM_ASSIGN_OR_RETURN(idx, input.IndexOf(spec.field));
+      if (!IsNumeric(input.field(idx).type) &&
+          input.field(idx).type != DataType::kBool) {
+        return Status::InvalidArgument("aggregate over non-numeric field: " +
+                                       spec.field);
+      }
+    }
+    f.agg_field_index.push_back(idx);
+    f.agg_kinds.push_back(spec.kind);
+    out.push_back({spec.output_name, spec.kind == AggKind::kCount
+                                         ? DataType::kInt64
+                                         : DataType::kDouble});
+  }
+  f.custom_first_field = out.size();
   for (const CustomAggregatorFactory& factory : customs) {
     auto agg = factory();
     NM_RETURN_NOT_OK(agg->Bind(input));
-    for (const Field& f : agg->OutputFields()) fields.push_back(f);
+    for (const Field& field : agg->OutputFields()) out.push_back(field);
   }
-  return Schema::Make(std::move(fields));
+  NM_ASSIGN_OR_RETURN(f.output, Schema::Make(std::move(out)));
+  return f;
 }
 
-// Resolves aggregate input-field indices (kCount uses the time field).
-Result<std::vector<size_t>> ResolveAggFields(
-    const Schema& input, const std::vector<AggregateSpec>& aggs,
-    size_t time_index) {
-  std::vector<size_t> out;
-  out.reserve(aggs.size());
-  for (const AggregateSpec& spec : aggs) {
-    if (spec.kind == AggKind::kCount && spec.field.empty()) {
-      out.push_back(time_index);
-      continue;
+WindowFields::KeyValue WindowFields::KeyOf(const RecordView& rec) const {
+  if (!keyed) return int64_t{0};
+  if (key_type == DataType::kText16 || key_type == DataType::kText32) {
+    return rec.GetText(key_index);
+  }
+  return rec.GetInt64(key_index);
+}
+
+WindowFields::Customs WindowFields::MakeCustoms(
+    const std::vector<CustomAggregatorFactory>& factories) const {
+  Customs customs;
+  for (const CustomAggregatorFactory& factory : factories) {
+    auto agg = factory();
+    Status s = agg->Bind(input);
+    assert(s.ok());  // validated in Make
+    (void)s;
+    customs.push_back(std::move(agg));
+  }
+  return customs;
+}
+
+void WindowFields::WriteRow(RecordWriter w, const KeyValue& key,
+                            Timestamp start, Timestamp end,
+                            const std::vector<AggState>& states,
+                            Customs* customs) const {
+  size_t f = 0;
+  if (keyed) {
+    if (std::holds_alternative<int64_t>(key)) {
+      w.SetInt64(f, std::get<int64_t>(key));
+    } else if (key_type == DataType::kText16 ||
+               key_type == DataType::kText32) {
+      w.SetText(f, std::get<std::string>(key));
     }
-    NM_ASSIGN_OR_RETURN(size_t idx, input.IndexOf(spec.field));
-    if (!IsNumeric(input.field(idx).type) &&
-        input.field(idx).type != DataType::kBool) {
-      return Status::InvalidArgument("aggregate over non-numeric field: " +
-                                     spec.field);
+    ++f;
+  }
+  w.SetInt64(f++, start);
+  w.SetInt64(f++, end);
+  for (size_t a = 0; a < agg_kinds.size(); ++a) {
+    const double v = states[a].Result(agg_kinds[a]);
+    if (agg_kinds[a] == AggKind::kCount) {
+      w.SetInt64(f++, static_cast<int64_t>(v));
+    } else {
+      w.SetDouble(f++, v);
     }
-    out.push_back(idx);
   }
-  return out;
-}
-
-void WriteKey(RecordWriter* w, size_t field, DataType type,
-              const std::variant<int64_t, std::string>& key) {
-  if (std::holds_alternative<int64_t>(key)) {
-    w->SetInt64(field, std::get<int64_t>(key));
-  } else if (type == DataType::kText16 || type == DataType::kText32) {
-    w->SetText(field, std::get<std::string>(key));
+  if (customs == nullptr) return;
+  size_t custom_field = custom_first_field;
+  for (auto& agg : *customs) {
+    agg->WriteResult(&w, custom_field);
+    custom_field += agg->OutputFields().size();
   }
 }
-
-}  // namespace
 
 // --- WindowAggOperator ------------------------------------------------------------
 
@@ -340,90 +378,80 @@ Result<OperatorPtr> WindowAggOperator::Make(const Schema& input,
         "use ThresholdWindowOperator for threshold windows");
   }
   auto op = std::unique_ptr<WindowAggOperator>(new WindowAggOperator());
-  op->input_schema_ = input;
   NM_ASSIGN_OR_RETURN(op->assigner_, WindowAssigner::Make(options.window));
-  op->keyed_ = !options.key_field.empty();
-  if (op->keyed_) {
-    NM_ASSIGN_OR_RETURN(op->key_index_, input.IndexOf(options.key_field));
-    op->key_type_ = input.field(op->key_index_).type;
-  }
-  if (options.time_field.empty()) {
-    return Status::InvalidArgument("window aggregation needs a time field");
-  }
-  NM_ASSIGN_OR_RETURN(op->time_index_, input.IndexOf(options.time_field));
+  op->slice_ = std::gcd(op->assigner_.size(), op->assigner_.slide());
   NM_ASSIGN_OR_RETURN(
-      op->agg_field_index_,
-      ResolveAggFields(input, options.aggregates, op->time_index_));
-  NM_ASSIGN_OR_RETURN(
-      op->output_schema_,
-      MakeWindowOutputSchema(input, options.key_field, options.aggregates,
-                             options.custom_aggregators,
-                             &op->custom_first_field_));
+      op->fields_,
+      WindowFields::Make(input, options.key_field, options.time_field,
+                         options.aggregates, options.custom_aggregators));
+  op->scratch_merged_.resize(options.aggregates.size());
   op->options_ = std::move(options);
   return OperatorPtr(std::move(op));
 }
 
-WindowAggOperator::Pane WindowAggOperator::MakePane() const {
-  Pane pane;
-  pane.states.resize(options_.aggregates.size());
-  for (const CustomAggregatorFactory& factory : options_.custom_aggregators) {
-    auto agg = factory();
-    Status s = agg->Bind(input_schema_);
-    assert(s.ok());  // validated in Make
-    (void)s;
-    pane.customs.push_back(std::move(agg));
+void WindowAggOperator::FoldCustoms(const RecordView& rec, Timestamp t,
+                                    const KeyValue& key) {
+  assigner_.AssignWindows(t, &scratch_starts_);
+  for (Timestamp start : scratch_starts_) {
+    if (start + assigner_.size() <= fired_through_) continue;  // fired
+    auto [it, inserted] = customs_.try_emplace({start, key});
+    if (inserted) it->second = fields_.MakeCustoms(options_.custom_aggregators);
+    for (auto& agg : it->second) agg->Add(rec, t);
   }
-  return pane;
 }
 
-WindowAggOperator::KeyValue WindowAggOperator::KeyOf(
-    const RecordView& rec) const {
-  if (!keyed_) return int64_t{0};
-  if (key_type_ == DataType::kText16 || key_type_ == DataType::kText32) {
-    return rec.GetText(key_index_);
+void WindowAggOperator::FireWindow(Timestamp start, RowEmitter* out) {
+  const Timestamp end = start + assigner_.size();
+  scratch_cursors_.clear();
+  for (auto g = slices_.lower_bound(start);
+       g != slices_.end() && g->first < end; ++g) {
+    scratch_cursors_.push_back({g->second.cbegin(), g->second.cend()});
   }
-  return rec.GetInt64(key_index_);
-}
-
-void WindowAggOperator::WritePane(const PaneKey& key, Pane& pane,
-                                  RecordWriter w) const {
-  size_t f = 0;
-  if (keyed_) {
-    WriteKey(&w, f, key_type_, key.second);
-    ++f;
-  }
-  w.SetInt64(f++, key.first);
-  w.SetInt64(f++, key.first + assigner_.size());
-  for (size_t a = 0; a < options_.aggregates.size(); ++a) {
-    const double v = pane.states[a].Result(options_.aggregates[a].kind);
-    if (options_.aggregates[a].kind == AggKind::kCount) {
-      w.SetInt64(f++, static_cast<int64_t>(v));
-    } else {
-      w.SetDouble(f++, v);
+  // Merge the slices' key-ordered groups: one row per key, in key order.
+  while (true) {
+    const KeyValue* key = nullptr;
+    for (const SliceCursor& c : scratch_cursors_) {
+      if (c.at != c.end && (key == nullptr || c.at->first < *key)) {
+        key = &c.at->first;
+      }
     }
-  }
-  size_t custom_field = custom_first_field_;
-  for (auto& agg : pane.customs) {
-    agg->WriteResult(&w, custom_field);
-    custom_field += agg->OutputFields().size();
+    if (key == nullptr) return;
+    std::fill(scratch_merged_.begin(), scratch_merged_.end(), AggState{});
+    // Cursors are in slice start order, so ties resolve as in one fold.
+    for (SliceCursor& c : scratch_cursors_) {
+      if (c.at == c.end || c.at->first != *key) continue;
+      for (size_t a = 0; a < scratch_merged_.size(); ++a) {
+        scratch_merged_[a].Merge(c.at->second[a]);
+      }
+      ++c.at;  // the node stays alive, so *key stays valid
+    }
+    auto custom =
+        customs_.empty() ? customs_.end() : customs_.find({start, *key});
+    const bool has_custom = custom != customs_.end();
+    fields_.WriteRow(out->Append(), *key, start, end, scratch_merged_,
+                     has_custom ? &custom->second : nullptr);
+    if (has_custom) customs_.erase(custom);
   }
 }
 
 Status WindowAggOperator::FireUpTo(Timestamp watermark, const EmitFn& emit) {
-  fired_through_ = std::max(fired_through_, watermark);
+  if (watermark <= fired_through_) return Status::OK();
+  const Duration size = assigner_.size();
+  const Duration slide = assigner_.slide();
+  // Windows ending at or before `done` have fired.
+  Timestamp done = fired_through_;
+  fired_through_ = watermark;
   RowEmitter out(this, emit);
-  auto it = panes_.begin();
-  while (it != panes_.end()) {
-    const Timestamp window_end = it->first.first + assigner_.size();
-    if (window_end > watermark) {
-      // Panes are ordered by window start; later starts may still be open,
-      // but all panes with start < watermark - size are closed. Iterate on:
-      // only skip, since keys interleave.
-      ++it;
-      continue;
-    }
-    WritePane(it->first, it->second, out.Append());
-    it = panes_.erase(it);
+  while (!slices_.empty()) {
+    // The next due window is the earliest unfired one holding the earliest
+    // live slice: no earlier unfired window holds any slice.
+    Timestamp start = FloorTo(slices_.begin()->first - size, slide) + slide;
+    if (start + size <= done) start = FloorTo(done - size, slide) + slide;
+    if (start + size > watermark) break;
+    FireWindow(start, &out);
+    done = start + size;
+    // Slices before the next window start lie in no unfired window.
+    slices_.erase(slices_.begin(), slices_.lower_bound(start + slide));
   }
   out.Flush();
   return Status::OK();
@@ -432,28 +460,33 @@ Status WindowAggOperator::FireUpTo(Timestamp watermark, const EmitFn& emit) {
 Status WindowAggOperator::ProcessBatch(const exec::Batch& input,
                                        const EmitFn& emit) {
   CountIn(input);
+  const Duration size = assigner_.size();
+  const size_t num_aggs = fields_.agg_kinds.size();
   uint64_t shed = 0;
+  auto group = slices_.end();
   for (size_t i = 0; i < input.NumRows(); ++i) {
     const RecordView rec = input.data->At(input.RowAt(i));
-    const Timestamp t = rec.GetInt64(time_index_);
+    const Timestamp t = rec.GetInt64(fields_.time_index);
     max_event_time_ = std::max(max_event_time_, t);
-    assigner_.AssignWindows(t, &scratch_starts_);
-    const KeyValue key = KeyOf(rec);
-    bool joined = false;
-    for (Timestamp start : scratch_starts_) {
-      // Monotonicity guard: a pane whose window already fired must not be
-      // resurrected by a late record — that would emit the window twice.
-      if (start + assigner_.size() <= fired_through_) continue;
-      joined = true;
-      auto [it, inserted] = panes_.try_emplace({start, key});
-      if (inserted) it->second = MakePane();
-      Pane& pane = it->second;
-      for (size_t a = 0; a < options_.aggregates.size(); ++a) {
-        pane.states[a].Add(rec.GetNumeric(agg_field_index_[a]), t);
-      }
-      for (auto& agg : pane.customs) agg->Add(rec, t);
+    // Monotonicity guard: when even the latest window holding t has fired,
+    // applying the record would re-emit a closed window. The latest window
+    // ends after t, so only t < fired_through_ can be shed.
+    if (t < fired_through_ &&
+        FloorTo(t, assigner_.slide()) + size <= fired_through_) {
+      ++shed;
+      continue;
     }
-    if (!joined) ++shed;
+    const Timestamp slice = FloorTo(t, slice_);
+    if (group == slices_.end() || group->first != slice) {
+      group = slices_.try_emplace(slice).first;
+    }
+    auto [it, inserted] = group->second.try_emplace(fields_.KeyOf(rec));
+    std::vector<AggState>& states = it->second;
+    if (inserted) states.resize(num_aggs);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      states[a].Add(rec.GetNumeric(fields_.agg_field_index[a]), t);
+    }
+    if (!options_.custom_aggregators.empty()) FoldCustoms(rec, t, it->first);
   }
   if (shed > 0) CountShed(shed);
   // Watermark: the max event time seen, minus allowed lateness.
@@ -477,24 +510,10 @@ Result<OperatorPtr> ThresholdWindowOperator::Make(
   NM_RETURN_NOT_OK(options.predicate->Bind(input));
   auto op =
       std::unique_ptr<ThresholdWindowOperator>(new ThresholdWindowOperator());
-  op->input_schema_ = input;
-  op->keyed_ = !options.key_field.empty();
-  if (op->keyed_) {
-    NM_ASSIGN_OR_RETURN(op->key_index_, input.IndexOf(options.key_field));
-    op->key_type_ = input.field(op->key_index_).type;
-  }
-  if (options.time_field.empty()) {
-    return Status::InvalidArgument("threshold window needs a time field");
-  }
-  NM_ASSIGN_OR_RETURN(op->time_index_, input.IndexOf(options.time_field));
   NM_ASSIGN_OR_RETURN(
-      op->agg_field_index_,
-      ResolveAggFields(input, options.aggregates, op->time_index_));
-  NM_ASSIGN_OR_RETURN(
-      op->output_schema_,
-      MakeWindowOutputSchema(input, options.key_field, options.aggregates,
-                             options.custom_aggregators,
-                             &op->custom_first_field_));
+      op->fields_,
+      WindowFields::Make(input, options.key_field, options.time_field,
+                         options.aggregates, options.custom_aggregators));
   op->options_ = std::move(options);
   return OperatorPtr(std::move(op));
 }
@@ -505,38 +524,8 @@ ThresholdWindowOperator::OpenWindow ThresholdWindowOperator::MakeWindow(
   win.start = start;
   win.last = start;
   win.states.resize(options_.aggregates.size());
-  for (const CustomAggregatorFactory& factory : options_.custom_aggregators) {
-    auto agg = factory();
-    Status s = agg->Bind(input_schema_);
-    assert(s.ok());
-    (void)s;
-    win.customs.push_back(std::move(agg));
-  }
+  win.customs = fields_.MakeCustoms(options_.custom_aggregators);
   return win;
-}
-
-void ThresholdWindowOperator::CloseInto(const KeyValue& key, OpenWindow& win,
-                                        RecordWriter w) const {
-  size_t f = 0;
-  if (keyed_) {
-    WriteKey(&w, f, key_type_, key);
-    ++f;
-  }
-  w.SetInt64(f++, win.start);
-  w.SetInt64(f++, win.last);
-  for (size_t a = 0; a < options_.aggregates.size(); ++a) {
-    const double v = win.states[a].Result(options_.aggregates[a].kind);
-    if (options_.aggregates[a].kind == AggKind::kCount) {
-      w.SetInt64(f++, static_cast<int64_t>(v));
-    } else {
-      w.SetDouble(f++, v);
-    }
-  }
-  size_t custom_field = custom_first_field_;
-  for (auto& agg : win.customs) {
-    agg->WriteResult(&w, custom_field);
-    custom_field += agg->OutputFields().size();
-  }
 }
 
 Status ThresholdWindowOperator::ProcessBatch(const exec::Batch& input,
@@ -546,12 +535,8 @@ Status ThresholdWindowOperator::ProcessBatch(const exec::Batch& input,
   uint64_t shed = 0;
   for (size_t i = 0; i < input.NumRows(); ++i) {
     const RecordView rec = input.data->At(input.RowAt(i));
-    const Timestamp t = rec.GetInt64(time_index_);
-    KeyValue key = keyed_ ? (key_type_ == DataType::kText16 ||
-                                     key_type_ == DataType::kText32
-                                 ? KeyValue(rec.GetText(key_index_))
-                                 : KeyValue(rec.GetInt64(key_index_)))
-                          : KeyValue(int64_t{0});
+    const Timestamp t = rec.GetInt64(fields_.time_index);
+    KeyValue key = fields_.KeyOf(rec);
     const bool holds = ValueAsBool(options_.predicate->Eval(rec));
     auto it = open_.find(key);
     if (holds) {
@@ -570,18 +555,20 @@ Status ThresholdWindowOperator::ProcessBatch(const exec::Batch& input,
       // Repair mild disorder inside the open window: extend both bounds.
       win.start = std::min(win.start, t);
       win.last = std::max(win.last, t);
-      for (size_t a = 0; a < options_.aggregates.size(); ++a) {
-        win.states[a].Add(rec.GetNumeric(agg_field_index_[a]), t);
+      for (size_t a = 0; a < win.states.size(); ++a) {
+        win.states[a].Add(rec.GetNumeric(fields_.agg_field_index[a]), t);
       }
       for (auto& agg : win.customs) agg->Add(rec, t);
     } else if (it != open_.end()) {
+      OpenWindow& win = it->second;
       // Close the window; emit when long enough.
-      if (it->second.last - it->second.start >= options_.min_duration) {
-        CloseInto(it->first, it->second, out.Append());
+      if (win.last - win.start >= options_.min_duration) {
+        fields_.WriteRow(out.Append(), it->first, win.start, win.last,
+                         win.states, &win.customs);
       }
       auto [closed, inserted] =
-          closed_through_.try_emplace(it->first, it->second.last);
-      if (!inserted) closed->second = std::max(closed->second, it->second.last);
+          closed_through_.try_emplace(it->first, win.last);
+      if (!inserted) closed->second = std::max(closed->second, win.last);
       open_.erase(it);
     }
   }
@@ -594,7 +581,8 @@ Status ThresholdWindowOperator::Finish(const EmitFn& emit) {
   RowEmitter out(this, emit);
   for (auto& [key, win] : open_) {
     if (win.last - win.start < options_.min_duration) continue;
-    CloseInto(key, win, out.Append());
+    fields_.WriteRow(out.Append(), key, win.start, win.last, win.states,
+                     &win.customs);
   }
   open_.clear();
   out.Flush();

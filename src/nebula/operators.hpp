@@ -124,6 +124,44 @@ class ProjectOperator : public Operator {
   std::vector<size_t> indices_;
 };
 
+// --- Window rows --------------------------------------------------------------
+
+/// \brief Field layout shared by the time and threshold window operators:
+/// where a record's key, event time and aggregate inputs are read, and how
+/// a window row ([key] + window_start + window_end + aggregates + custom
+/// fields) is written.
+struct WindowFields {
+  using KeyValue = std::variant<int64_t, std::string>;
+  using Customs = std::vector<std::unique_ptr<CustomAggregator>>;
+
+  /// Resolves the fields against \p input and builds the output schema.
+  static Result<WindowFields> Make(
+      const Schema& input, const std::string& key_field,
+      const std::string& time_field,
+      const std::vector<AggregateSpec>& aggregates,
+      const std::vector<CustomAggregatorFactory>& customs);
+
+  /// The grouping key of \p rec (0 when unkeyed).
+  KeyValue KeyOf(const RecordView& rec) const;
+  /// A fresh instance of every custom aggregator, bound to `input`.
+  Customs MakeCustoms(
+      const std::vector<CustomAggregatorFactory>& factories) const;
+  /// Writes one window row; \p customs is null when there are none.
+  void WriteRow(RecordWriter w, const KeyValue& key, Timestamp start,
+                Timestamp end, const std::vector<AggState>& states,
+                Customs* customs) const;
+
+  Schema input;
+  Schema output;
+  bool keyed = false;
+  size_t key_index = 0;
+  DataType key_type = DataType::kInt64;
+  size_t time_index = 0;
+  std::vector<size_t> agg_field_index;
+  std::vector<AggKind> agg_kinds;
+  size_t custom_first_field = 0;
+};
+
 // --- Windowed aggregation -------------------------------------------------------
 
 /// \brief Configuration of a keyed time-window aggregation.
@@ -139,23 +177,40 @@ struct WindowAggOptions {
 /// \brief Event-time keyed window aggregation with watermark-based firing.
 ///
 /// Output schema: [key] + window_start + window_end + aggregate fields +
-/// custom-aggregator fields. Panes fire when the watermark (max event time −
-/// allowed lateness) passes their window end; `Finish` flushes the rest in
-/// deterministic (window, key) order.
+/// custom-aggregator fields. Windows fire when the watermark (max event
+/// time − allowed lateness) passes their end; `Finish` flushes the rest.
+/// Rows come out in (window start, key) order.
 ///
-/// Monotonicity guard: a record whose every assigned pane already fired
-/// (its window end ≤ the highest watermark this operator fired up to)
+/// Slices: state is kept per (slice start, key), where slices are
+/// g = gcd(size, slide) long (g = size for tumbling windows), so every
+/// window is a whole number of slices. A record costs one slice lookup and
+/// one `AggState::Add` per aggregate, however many windows overlap it; a
+/// window fires by merging its size/g slices in start order
+/// (`AggState::Merge`). A slice is dropped once the last window containing
+/// it has fired, so between batches a key's live slices span at most
+/// size + slide + allowed_lateness of event time. A window's sum is the
+/// sum of its slice sums, so a sliding window's sum/avg over non-integer
+/// values can differ in the last bits from a record-by-record fold; every
+/// other result, and every result of a tumbling window (one slice per
+/// window), is the same.
+///
+/// Custom aggregators are holistic (a trajectory is not the merge of
+/// partial trajectories), so when there are any, each record is also fed
+/// to one instance per (window start, key) it falls in.
+///
+/// Monotonicity guard: a record whose every window already fired (its
+/// latest window's end ≤ the highest watermark this operator fired up to)
 /// cannot be applied without re-emitting a closed window, so it is shed
 /// and counted (`events_shed` / `op.<path>.WindowAgg.late_shed`) instead
 /// of faulting or double-firing. Records late within `allowed_lateness`
-/// still join their live panes as before.
+/// still join the windows that have not fired.
 class WindowAggOperator : public Operator {
  public:
   static Result<OperatorPtr> Make(const Schema& input,
                                   WindowAggOptions options);
 
   std::string name() const override { return "WindowAgg"; }
-  const Schema& output_schema() const override { return output_schema_; }
+  const Schema& output_schema() const override { return fields_.output; }
   Status ProcessBatch(const exec::Batch& input, const EmitFn& emit) override;
   Status Finish(const EmitFn& emit) override;
   void BindMetrics(metrics::MetricsRegistry* registry,
@@ -165,36 +220,37 @@ class WindowAggOperator : public Operator {
   }
 
  private:
-  struct Pane {
-    std::vector<AggState> states;
-    std::vector<std::unique_ptr<CustomAggregator>> customs;
+  using KeyValue = WindowFields::KeyValue;
+  /// One slice's partial aggregates per key, in key order.
+  using SliceGroup = std::map<KeyValue, std::vector<AggState>>;
+  /// Cursor over one slice group while a window merges its slices.
+  struct SliceCursor {
+    SliceGroup::const_iterator at;
+    SliceGroup::const_iterator end;
   };
-  using KeyValue = std::variant<int64_t, std::string>;
-  using PaneKey = std::pair<Timestamp, KeyValue>;  // (window_start, key)
 
   WindowAggOperator() = default;
 
-  Pane MakePane() const;
-  KeyValue KeyOf(const RecordView& rec) const;
-  void WritePane(const PaneKey& key, Pane& pane, RecordWriter w) const;
+  void FoldCustoms(const RecordView& rec, Timestamp t, const KeyValue& key);
+  void FireWindow(Timestamp start, RowEmitter* out);
   Status FireUpTo(Timestamp watermark, const EmitFn& emit);
 
-  Schema input_schema_;
-  Schema output_schema_;
+  WindowFields fields_;
   WindowAggOptions options_;
   WindowAssigner assigner_{WindowAssigner::Make(TumblingWindowSpec{1}).value()};
-  bool keyed_ = false;
-  size_t key_index_ = 0;
-  DataType key_type_ = DataType::kInt64;
-  size_t time_index_ = 0;
-  std::vector<size_t> agg_field_index_;
-  size_t custom_first_field_ = 0;
-  std::map<PaneKey, Pane> panes_;
+  Duration slice_ = 1;  ///< gcd(size, slide)
+  /// Live slices by start.
+  std::map<Timestamp, SliceGroup> slices_;
+  /// Custom-aggregator instances per (window start, key); empty unless
+  /// the operator has custom aggregators.
+  std::map<std::pair<Timestamp, KeyValue>, WindowFields::Customs> customs_;
   Timestamp max_event_time_ = std::numeric_limits<Timestamp>::min();
-  /// Highest watermark `FireUpTo` ran with; panes ending at or before it
-  /// are closed for good (guard against late-record pane resurrection).
+  /// Highest watermark `FireUpTo` ran with; windows ending at or before it
+  /// have fired for good (guard against late-record window resurrection).
   Timestamp fired_through_ = std::numeric_limits<Timestamp>::min();
   std::vector<Timestamp> scratch_starts_;
+  std::vector<SliceCursor> scratch_cursors_;
+  std::vector<AggState> scratch_merged_;
 };
 
 // --- Threshold window -------------------------------------------------------------
@@ -220,7 +276,7 @@ class ThresholdWindowOperator : public Operator {
                                   ThresholdWindowOptions options);
 
   std::string name() const override { return "ThresholdWindow"; }
-  const Schema& output_schema() const override { return output_schema_; }
+  const Schema& output_schema() const override { return fields_.output; }
   Status ProcessBatch(const exec::Batch& input, const EmitFn& emit) override;
   Status Finish(const EmitFn& emit) override;
   void BindMetrics(metrics::MetricsRegistry* registry,
@@ -234,24 +290,16 @@ class ThresholdWindowOperator : public Operator {
     Timestamp start = 0;
     Timestamp last = 0;
     std::vector<AggState> states;
-    std::vector<std::unique_ptr<CustomAggregator>> customs;
+    WindowFields::Customs customs;
   };
-  using KeyValue = std::variant<int64_t, std::string>;
+  using KeyValue = WindowFields::KeyValue;
 
   ThresholdWindowOperator() = default;
 
   OpenWindow MakeWindow(Timestamp start) const;
-  void CloseInto(const KeyValue& key, OpenWindow& win, RecordWriter w) const;
 
-  Schema input_schema_;
-  Schema output_schema_;
+  WindowFields fields_;
   ThresholdWindowOptions options_;
-  bool keyed_ = false;
-  size_t key_index_ = 0;
-  DataType key_type_ = DataType::kInt64;
-  size_t time_index_ = 0;
-  std::vector<size_t> agg_field_index_;
-  size_t custom_first_field_ = 0;
   std::map<KeyValue, OpenWindow> open_;
   /// Per key, the `last` timestamp of the most recently closed window. A
   /// satisfying record at or before it would resurrect a window already

@@ -25,11 +25,8 @@ Result<WindowAssigner> WindowAssigner::Make(const WindowSpec& spec) {
 void WindowAssigner::AssignWindows(Timestamp t,
                                    std::vector<Timestamp>* starts) const {
   starts->clear();
-  // Last window start at or before t (floor division robust for negatives).
-  Timestamp last = (t / slide_) * slide_;
-  if (last > t) last -= slide_;
-  // All windows [start, start + size) containing t.
-  for (Timestamp s = last; s > t - size_; s -= slide_) {
+  // All windows [start, start + size) containing t, latest first.
+  for (Timestamp s = FloorTo(t, slide_); s > t - size_; s -= slide_) {
     starts->push_back(s);
   }
 }
@@ -52,6 +49,26 @@ void AggState::Add(double v, Timestamp t) {
   }
   sum_ += v;
   ++count_;
+}
+
+void AggState::Merge(const AggState& other) {
+  if (other.count_ == 0) return;
+  if (count_ == 0) {
+    *this = other;
+    return;
+  }
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
+  if (other.first_t_ < first_t_) {
+    first_ = other.first_;
+    first_t_ = other.first_t_;
+  }
+  if (other.last_t_ >= last_t_) {
+    last_ = other.last_;
+    last_t_ = other.last_t_;
+  }
+  sum_ += other.sum_;
+  count_ += other.count_;
 }
 
 double AggState::Result(AggKind kind) const {

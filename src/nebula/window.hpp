@@ -43,6 +43,13 @@ struct ThresholdWindowSpec {
 using WindowSpec =
     std::variant<TumblingWindowSpec, SlidingWindowSpec, ThresholdWindowSpec>;
 
+/// Largest multiple of \p step at or before \p t (floor division, also for
+/// negative \p t); \p step must be positive.
+inline Timestamp FloorTo(Timestamp t, Duration step) {
+  const Timestamp q = t / step * step;
+  return q > t ? q - step : q;
+}
+
 /// \brief Assigns event timestamps to time-window start offsets.
 class WindowAssigner {
  public:
@@ -98,11 +105,17 @@ struct AggregateSpec {
   }
 };
 
-/// \brief Incremental state for one `AggregateSpec` within one window pane.
+/// \brief Incremental state for one `AggregateSpec` within one window or
+/// window slice.
 class AggState {
  public:
   /// Folds one value observed at \p t into the state.
   void Add(double v, Timestamp t);
+  /// Folds another state into this one, as if its values had been added
+  /// after this state's: on equal timestamps the earlier state keeps
+  /// `first` and the later one wins `last`. The sum adds the two partial
+  /// sums, so it can differ in the last bits from adding value by value.
+  void Merge(const AggState& other);
   /// Result for \p kind given the folded state.
   double Result(AggKind kind) const;
   /// Number of folded values.

@@ -218,11 +218,14 @@ TEST_F(ExprTest, PlanCseSharesRepeatedSubtreeAndStaysEquivalent) {
 }
 
 TEST_F(ExprTest, PlanCseEvaluatesSharedFunctionOncePerRecord) {
-  auto calls = std::make_shared<int>(0);
-  Status st = RegisterLambdaFunction(
+  // The registry keeps the first registration for the whole process, so
+  // the function is registered once, with a counter that outlives repeated
+  // runs of this test (`--gtest_repeat`).
+  static const auto calls = std::make_shared<int>(0);
+  static const Status st = RegisterLambdaFunction(
       "cse_probe_test", 1, DataType::kDouble,
-      [calls](const std::vector<Value>& args) {
-        ++*calls;
+      [counter = calls](const std::vector<Value>& args) {
+        ++*counter;
         return Value(ValueAsDouble(args[0]) * 2.0);
       });
   ASSERT_TRUE(st.ok() || st.code() == StatusCode::kAlreadyExists);
